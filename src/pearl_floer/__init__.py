@@ -16,7 +16,8 @@ immersion
     Discretisation pipeline: chart meshes, primitive and grading
     propagation, double-point detection with Newton refinement.
 models
-    Small built-in immersions (flat plane, round circle, figure eight).
+    Small built-in immersions (flat plane, round circle, figure eight,
+    cylinder) and the sphere model's registry entry.
 sphere
     The immersed-sphere model with one transverse double point: closed
     forms, holomorphic disc family, and the associated 4-generator datum.

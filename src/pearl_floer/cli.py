@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
         "model": args.model,
         "ambient_dim": spec.ambient.n,
         "resolution": args.resolution,
-        "samples": len(mesh.samples),
+        "samples": len(mesh.points),
         "edges": len(mesh.edges),
         "exactness_residual": mesh.exactness_residual,
         "grading_residual": mesh.grading_residual,
@@ -185,7 +185,7 @@ def cmd_analyze(args) -> int:
     lines = [
         f"model: {args.model} (ambient dimension {spec.ambient.n})",
         f"resolution: {args.resolution}",
-        f"samples: {len(mesh.samples)}  edges: {len(mesh.edges)}",
+        f"samples: {len(mesh.points)}  edges: {len(mesh.edges)}",
         f"exactness residual: {_fmt(mesh.exactness_residual)}",
         f"grading residual: {_fmt(mesh.grading_residual)}",
         f"double points: {len(points)}",

@@ -27,13 +27,14 @@ A pattern file is a JSON array of tagged degeneration pieces, e.g.::
      {"type": "ghost", "ind_pq": 3}]
 
 Structural problems (wrong version, missing or unknown fields, wrong
-types) raise :class:`FormatError`; semantic problems are left to the
-validation layer.
+types, non-finite numbers such as ``NaN`` or ``Infinity``) raise
+:class:`FormatError`; semantic problems are left to the validation layer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -85,7 +86,21 @@ def _require_str(value: Any, where: str) -> str:
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise FormatError(f"{where} must be finite, got {value!r}")
     return float(value)
+
+
+def _reject_constant(name: str) -> None:
+    raise FormatError(f"non-finite number {name} is not allowed")
+
+
+def _parse_json(text: str) -> Any:
+    """Strict JSON: NaN and +-Infinity literals are refused."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as err:
+        raise FormatError(f"not valid JSON: {err}") from err
 
 
 def datum_to_dict(datum: FloerDatum) -> dict:
@@ -173,15 +188,12 @@ def datum_from_dict(data: Any) -> FloerDatum:
 
 
 def dumps_datum(datum: FloerDatum) -> str:
-    return json.dumps(datum_to_dict(datum), indent=2) + "\n"
+    """Canonical FLD text; a non-finite action raises ValueError."""
+    return json.dumps(datum_to_dict(datum), indent=2, allow_nan=False) + "\n"
 
 
 def loads_datum(text: str) -> FloerDatum:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"not valid JSON: {err}") from err
-    return datum_from_dict(data)
+    return datum_from_dict(_parse_json(text))
 
 
 def save_datum(datum: FloerDatum, path: str | Path) -> None:
@@ -242,8 +254,4 @@ def load_pattern(path: str | Path) -> DegenerationPattern:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}") from err
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"not valid JSON: {err}") from err
-    return pattern_from_list(data)
+    return pattern_from_list(_parse_json(text))

@@ -28,6 +28,7 @@ the differential.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -183,6 +184,8 @@ def validate_datum(datum: FloerDatum, tol_action: float = TOL_ACTION) -> Validat
         elif g.kind == "pair":
             if g.action is None:
                 violations.append(f"pair generator '{g.id}' is missing its action")
+            elif not math.isfinite(g.action):
+                violations.append(f"pair generator '{g.id}' has non-finite action {g.action}")
             if g.partner is None:
                 violations.append(f"pair generator '{g.id}' is missing its partner")
                 continue

@@ -99,9 +99,12 @@ class AmbientSpace:
         """Symplectic form omega(u, v) = Im <u, v>."""
         return float(np.imag(np.sum(np.conj(u) * v)))
 
-    def sigma(self, z: np.ndarray, v: np.ndarray) -> float:
-        """Value of the primitive sigma on the tangent vector v at the point z."""
-        return 0.5 * float(np.imag(np.sum(np.conj(z) * v)))
+    def sigma(self, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """Value of the primitive sigma on the tangent vector v at the point z.
+
+        Stacks of points and vectors (..., n) give one value per point.
+        """
+        return 0.5 * np.imag(np.sum(np.conj(z) * v, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -157,63 +160,87 @@ class IndexValue(NamedTuple):
 
 def make_unitary_frame(
     vectors: Sequence[np.ndarray] | np.ndarray, tol: float = TOL_FRAME
-) -> LagrangianFrame:
+) -> LagrangianFrame | np.ndarray:
     """Orthonormalise n vectors spanning a Lagrangian plane into a unitary frame.
 
     Parameters
     ----------
-    vectors : sequence of n complex vectors in C^n (or an (n, n) array whose
-        *columns* are the vectors).
+    vectors : sequence of n complex vectors in C^n, an (n, n) array whose
+        *columns* are the vectors, or an (m, n, n) stack of such arrays.
     tol : tolerance for the pairwise vanishing of omega on the input,
         relative to the squared scale of the vectors.
 
     Returns
     -------
-    LagrangianFrame spanning the same real subspace.
+    LagrangianFrame spanning the same real subspace; for a stack, an
+    (m, n, n) array of unitary frame columns.  The frame is the Q factor
+    of the real QR decomposition of the realified columns, with signs
+    fixed so that diag R > 0 (the result of Gram-Schmidt for Re<.,.>).
 
     Raises
     ------
     DimensionMismatch : wrong number of vectors or inconsistent lengths.
     NotLagrangian : omega does not vanish on some pair of inputs.
     Degenerate : the inputs are linearly dependent over R.
+
+    For a stack, the error describes the first failing frame, and its
+    ``index`` attribute gives that frame's position in the stack.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = np.array(vectors, dtype=complex)
+    if isinstance(vectors, np.ndarray) and vectors.ndim in (2, 3):
+        a = np.asarray(vectors, dtype=complex)
     else:
         a = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(
             f"need n vectors of length n to frame a Lagrangian plane, got shape {a.shape}"
         )
-    n = a.shape[0]
-    norms = np.linalg.norm(a, axis=0)
-    scale = float(np.max(norms))
-    if scale == 0.0 or float(np.min(norms)) < tol * scale:
-        raise Degenerate("a spanning vector is zero (or negligibly small)")
+    stacked = a.ndim == 3
+    if not stacked:
+        a = a[None]
+    n = a.shape[-1]
+    norms = np.linalg.norm(a, axis=1)  # (m, n): length of each spanning vector
+    scale = np.max(norms, axis=1)
+    tiny = (scale == 0.0) | (np.min(norms, axis=1) < tol * scale)
 
-    gram = a.conj().T @ a
-    skew = float(np.max(np.abs(np.imag(gram))))
-    if skew > tol * scale * scale:
-        raise NotLagrangian(
-            f"omega does not vanish on the span (max pairing {skew:.3e})"
-        )
+    gram = np.conj(np.swapaxes(a, 1, 2)) @ a
+    skew = np.max(np.abs(np.imag(gram)), axis=(1, 2))
+    skewed = skew > tol * scale * scale
 
-    # Gram-Schmidt for the real inner product Re<.,.>; on a Lagrangian span
-    # this is plain Hermitian Gram-Schmidt because the imaginary parts vanish.
-    q = np.empty_like(a)
-    drop = np.sqrt(tol)
-    for j in range(n):
-        v = a[:, j]
-        for _ in range(2):  # re-orthogonalise once for numerical safety
-            for i in range(j):
-                v = v - np.real(np.vdot(q[:, i], v)) * q[:, i]
-        nv = float(np.linalg.norm(v))
-        if nv <= drop * norms[j]:
-            raise Degenerate(
-                f"vector {j} is linearly dependent on its predecessors over R"
+    # Gram-Schmidt for the real inner product Re<.,.> is the QR
+    # decomposition of the realified columns; on a Lagrangian span it is
+    # plain Hermitian Gram-Schmidt because the imaginary parts vanish.
+    q, r = np.linalg.qr(np.concatenate([a.real, a.imag], axis=1))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * np.where(diag < 0.0, -1.0, 1.0)[:, None, :]
+    dependent = np.abs(diag) <= np.sqrt(tol) * norms
+    frames = q[:, :n, :] + 1j * q[:, n:, :]
+    unitarity = np.max(
+        np.abs(np.conj(np.swapaxes(frames, 1, 2)) @ frames - np.eye(n)), axis=(1, 2)
+    )
+    failed = tiny | skewed | dependent.any(axis=1) | (unitarity > TOL_FRAME)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if tiny[k]:
+            err: GeometryError = Degenerate("a spanning vector is zero (or negligibly small)")
+        elif skewed[k]:
+            err = NotLagrangian(
+                f"omega does not vanish on the span (max pairing {skew[k]:.3e})"
             )
-        q[:, j] = v / nv
-    return LagrangianFrame(q)
+        elif dependent[k].any():
+            err = Degenerate(
+                f"vector {int(np.argmax(dependent[k]))} is linearly dependent on"
+                " its predecessors over R"
+            )
+        else:
+            err = NotLagrangian(
+                f"columns are not a unitary frame (max deviation {unitarity[k]:.3e});"
+                " build frames with make_unitary_frame"
+            )
+        err.index = k
+        raise err
+    if stacked:
+        return frames
+    return LagrangianFrame(frames[0])
 
 
 def kahler_angles(
@@ -251,10 +278,15 @@ def kahler_angles(
     return KahlerAngles(tuple(float(x) for x in alphas))
 
 
-def det_squared_phase(frame: LagrangianFrame) -> float:
-    """Phase of det(F)^2 as a number in [0, 1) (argument divided by 2 pi)."""
-    det = np.linalg.det(frame.columns)
-    return float((np.angle(det) / np.pi) % 1.0)
+def det_squared_phase(frame: LagrangianFrame | np.ndarray) -> float | np.ndarray:
+    """Phase of det(F)^2 as a number in [0, 1) (argument divided by 2 pi).
+
+    Accepts a frame, or an (m, n, n) stack of frame columns for which it
+    returns the m phases.
+    """
+    if isinstance(frame, LagrangianFrame):
+        return float((np.angle(np.linalg.det(frame.columns)) / np.pi) % 1.0)
+    return (np.angle(np.linalg.det(frame)) / np.pi) % 1.0
 
 
 def index_of_pair(

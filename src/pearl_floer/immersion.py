@@ -18,32 +18,38 @@ passes:
 
 Callback contract
 -----------------
-``position(chart_id, params)`` maps raw chart parameters to a point of
-C^n; it must be defined in a small neighbourhood of the sampled domain
-(suspension charts are evaluated slightly off the unit sphere by the
-finite-difference fallback).  ``differential(chart_id, params)``, when
-given, returns the raw Jacobian as an (n, len(params)) complex array; when
-absent, central finite differences with relative step ``fd_step`` are
-used.  ``intrinsic(chart_id, params)``, when given, embeds the abstract
-domain manifold into some R^m; it is used to tell genuine double points
-(far apart on the domain) from self-proximity of a single sheet, which is
-essential for multi-chart atlases.
+Callbacks are batched: they take a chart id and a stack ``P`` of m raw
+chart parameter vectors, shape (m, d), and answer for every row at once.
+
+- ``position(chart_id, P)`` returns the points of C^n, shape (m, n).  It
+  must be defined in a small neighbourhood of the sampled domain
+  (suspension charts are evaluated slightly off the unit sphere by the
+  finite-difference fallback).
+- ``differential(chart_id, P)``, when given, returns the raw Jacobians,
+  shape (m, n, d); when absent, central finite differences with relative
+  step ``fd_step`` are used (one ``position`` call per Jacobian stack).
+- ``intrinsic(chart_id, P)``, when given, embeds the abstract domain
+  manifold into some R^k, shape (m, k); it is used to tell genuine double
+  points (far apart on the domain) from self-proximity of a single sheet,
+  which is essential for multi-chart atlases.
+
+Charts follow the same convention: ``sample_points`` returns an (m, d)
+array, ``sample_edges`` an (E, 2) index array, and ``path``, ``displace``,
+``local_basis`` and ``param_distance`` act on stacks.
 
 Edge integrals use trapezoid sums at two dyadic subdivisions combined by
 one Richardson step, which keeps the loop-residual noise of smooth exact
-immersions near machine precision at desk-scale resolutions.
-
-Environment: ``PEARL_FLOER_THREADS`` (integer) caps the thread pool used
-for sample evaluation and Newton refinement; results are merged in
-deterministic order regardless of the worker count.
+immersions near machine precision at desk-scale resolutions.  The
+callbacks see them in blocks of at most :data:`QUAD_BLOCK` quadrature
+points, which bounds the memory of the pass independently of the mesh.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from itertools import product
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,13 +60,13 @@ from .geom import (
     KahlerAngles,
     LagrangianFrame,
     NotLagrangian,
+    NotTransverse,
     TOL_FRAME,
     TOL_TRANSVERSE,
     det_squared_phase,
     index_of_pair,
     kahler_angles,
     make_unitary_frame,
-    transversality_check,
 )
 
 __all__ = [
@@ -79,7 +85,6 @@ __all__ = [
     "SuspensionChart",
     "SpokeBallChart",
     "ImmersionSpec",
-    "MeshSample",
     "ImmersionMesh",
     "DoublePointRecord",
     "sample_immersion",
@@ -105,6 +110,14 @@ NEWTON_STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 40
 #: Self-proximity exclusion radius, in units of the local mesh spacing.
 EXCLUSION_CELLS = 3.0
+#: Most quadrature points handed to one callback call by the edge
+#: integrals (a block always holds at least one whole edge).
+QUAD_BLOCK = 256
+#: Most Newton seeds refined together (one callback call per chart).
+BATCH = 64
+#: Most sample pairs whose distance the broad phase takes in one array
+#: operation (crowded hash cells are split into blocks of rows).
+PAIR_BLOCK = 1024
 
 
 class PipelineError(Exception):
@@ -141,9 +154,9 @@ class IndexNotIntegral(PipelineError):
     """A double-point index is too far from an integer."""
 
 
-def _wrap_half(x: float) -> float:
+def _wrap_half(x):
     """Wrap to [-1/2, 1/2] (the representative closest to zero)."""
-    return x - round(x)
+    return x - np.round(x)
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -151,19 +164,35 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
 
     Returns an (n, n-1) matrix whose columns complete x to an orthonormal
     basis of R^n, built from a Householder reflection (deterministic in x).
+    A stack of points (m, n) gives a stack of bases (m, n, n-1).
     """
-    n = len(x)
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     if n == 1:
-        return np.zeros((1, 0))
-    sign = 1.0 if x[0] >= 0 else -1.0
-    v = x.astype(float).copy()
-    v[0] += sign
-    h = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
-    return h[:, 1:]
+        return np.zeros(x.shape + (0,))
+    v = x.copy()
+    v[..., 0] += np.where(x[..., 0] >= 0, 1.0, -1.0)
+    h = np.eye(n) - 2.0 * (v[..., :, None] * v[..., None, :]) / np.sum(
+        v * v, axis=-1
+    )[..., None, None]
+    return h[..., :, 1:]
 
 
 # ---------------------------------------------------------------------------
 # charts
+
+
+def _identity_basis(m: int, dim: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(dim), (m, dim, dim))
+
+
+def _segments(
+    start: np.ndarray, delta: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and velocities (E, Q, d) of the segments start[e] + tau * delta[e]."""
+    tau = np.asarray(tau, dtype=float)[None, :, None]
+    points = start[:, None, :] + tau * delta[:, None, :]
+    return points, np.broadcast_to(delta[:, None, :], points.shape)
 
 
 @dataclass(frozen=True)
@@ -184,78 +213,69 @@ class BoxChart:
     def dim(self) -> int:
         return len(self.lo)
 
+    def _periodic(self) -> tuple[bool, ...]:
+        return self.periodic or (False,) * self.dim
+
     def _axes(self, resolution: int) -> list[np.ndarray]:
-        per = self.periodic or (False,) * self.dim
         axes = []
-        for lo, hi, wrap in zip(self.lo, self.hi, per):
+        for lo, hi, wrap in zip(self.lo, self.hi, self._periodic()):
             if wrap:
                 axes.append(np.linspace(lo, hi, resolution, endpoint=False))
             else:
                 axes.append(np.linspace(lo, hi, resolution + 1))
         return axes
 
-    def sample_points(self, resolution: int) -> list[np.ndarray]:
-        axes = self._axes(resolution)
-        grids = np.meshgrid(*axes, indexing="ij")
-        stacked = np.stack([g.ravel() for g in grids], axis=-1)
-        return [stacked[i] for i in range(stacked.shape[0])]
+    def _shortest(self, delta: np.ndarray) -> np.ndarray:
+        """Parameter differences reduced to the shortest periodic representative."""
+        for k, wrap in enumerate(self._periodic()):
+            if wrap:
+                width = self.hi[k] - self.lo[k]
+                delta[..., k] -= width * np.round(delta[..., k] / width)
+        return delta
 
-    def sample_edges(self, resolution: int) -> list[tuple[int, int]]:
-        axes = self._axes(resolution)
-        shape = tuple(len(a) for a in axes)
-        per = self.periodic or (False,) * self.dim
-        strides = np.zeros(len(shape), dtype=int)
-        acc = 1
-        for k in reversed(range(len(shape))):
-            strides[k] = acc
-            acc *= shape[k]
-        edges: list[tuple[int, int]] = []
-        for flat in range(int(np.prod(shape))):
-            coords = np.unravel_index(flat, shape)
-            for k in range(len(shape)):
-                if coords[k] + 1 < shape[k]:
-                    edges.append((flat, flat + int(strides[k])))
-                elif per[k] and shape[k] > 2:
-                    wrapped = flat - coords[k] * int(strides[k])
-                    edges.append((flat, wrapped))
-        return edges
+    def sample_points(self, resolution: int) -> np.ndarray:
+        grids = np.meshgrid(*self._axes(resolution), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
+
+    def sample_edges(self, resolution: int) -> np.ndarray:
+        shape = tuple(len(a) for a in self._axes(resolution))
+        flat = np.arange(int(np.prod(shape))).reshape(shape)
+        heads, keep = [], []
+        for k, wrap in enumerate(self._periodic()):
+            heads.append(np.roll(flat, -1, axis=k))
+            ok = np.ones(shape, dtype=bool)
+            if not (wrap and shape[k] > 2):
+                ok[(slice(None),) * k + (-1,)] = False
+            keep.append(ok)
+        tails = np.broadcast_to(flat[..., None], shape + (len(shape),))
+        heads_arr = np.stack(heads, axis=-1)
+        keep_arr = np.stack(keep, axis=-1)
+        # boolean indexing runs in C order: by tail sample, then by axis
+        return np.stack([tails[keep_arr], heads_arr[keep_arr]], axis=1)
 
     def displace(self, params: np.ndarray, xi: np.ndarray) -> np.ndarray:
         out = np.asarray(params, dtype=float) + xi
-        per = self.periodic or (False,) * self.dim
-        for k, wrap in enumerate(per):
+        for k, wrap in enumerate(self._periodic()):
             if wrap:
                 width = self.hi[k] - self.lo[k]
-                out[k] = self.lo[k] + (out[k] - self.lo[k]) % width
+                wrapped = self.lo[k] + (out[..., k] - self.lo[k]) % width
+                # a tiny negative offset rounds up to a full width: keep [lo, hi)
+                out[..., k] = np.where(wrapped >= self.hi[k], self.lo[k], wrapped)
         return out
 
     def local_basis(self, params: np.ndarray) -> np.ndarray:
-        return np.eye(self.dim)
+        return _identity_basis(len(params), self.dim)
 
     def path(
-        self, pa: np.ndarray, pb: np.ndarray
-    ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        delta = np.asarray(pb, dtype=float) - np.asarray(pa, dtype=float)
-        per = self.periodic or (False,) * self.dim
-        for k, wrap in enumerate(per):
-            if wrap:
-                width = self.hi[k] - self.lo[k]
-                delta[k] -= width * round(delta[k] / width)
-        base = np.asarray(pa, dtype=float)
+        self, pa: np.ndarray, pb: np.ndarray, tau: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities (E, Q, d) of the paths pa[e] -> pb[e] at times tau."""
+        pa = np.asarray(pa, dtype=float)
+        return _segments(pa, self._shortest(np.asarray(pb, dtype=float) - pa), tau)
 
-        def at(tau: float) -> tuple[np.ndarray, np.ndarray]:
-            return base + tau * delta, delta
-
-        return at
-
-    def param_distance(self, pa: np.ndarray, pb: np.ndarray) -> float:
-        delta = np.asarray(pb, dtype=float) - np.asarray(pa, dtype=float)
-        per = self.periodic or (False,) * self.dim
-        for k, wrap in enumerate(per):
-            if wrap:
-                width = self.hi[k] - self.lo[k]
-                delta[k] -= width * round(delta[k] / width)
-        return float(np.linalg.norm(delta))
+    def param_distance(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        delta = self._shortest(np.asarray(pb, dtype=float) - np.asarray(pa, dtype=float))
+        return np.linalg.norm(delta, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -287,80 +307,84 @@ class SuspensionChart:
     def _t_values(self, resolution: int) -> np.ndarray:
         return np.linspace(self.t_lo, self.t_hi, resolution)
 
-    def sample_points(self, resolution: int) -> list[np.ndarray]:
+    def sample_points(self, resolution: int) -> np.ndarray:
         ts = self._t_values(resolution)
-        out = []
-        for direction in self.directions:
-            for t in ts:
-                out.append(np.concatenate(([t], np.asarray(direction, dtype=float))))
-        return out
+        directions = np.asarray(self.directions, dtype=float)
+        return np.concatenate(
+            [
+                np.tile(ts, len(directions))[:, None],
+                np.repeat(directions, len(ts), axis=0),
+            ],
+            axis=1,
+        )
 
-    def sample_edges(self, resolution: int) -> list[tuple[int, int]]:
-        ts = self._t_values(resolution)
-        m = len(ts)
-        edges: list[tuple[int, int]] = []
-        for k in range(len(self.directions)):
-            for i in range(m - 1):
-                edges.append((k * m + i, k * m + i + 1))
+    def sample_edges(self, resolution: int) -> np.ndarray:
+        m = len(self._t_values(resolution))
+        starts = (np.arange(len(self.directions))[:, None] * m + np.arange(m - 1)).ravel()
+        edges = [np.stack([starts, starts + 1], axis=1)]
         if self.direction_edges and self.lateral_rows > 0:
-            rows = [
-                int(round((r + 1) * (m - 1) / (self.lateral_rows + 1)))
-                for r in range(self.lateral_rows)
-            ]
-            for row in sorted(set(rows)):
-                for a, b in self.direction_edges:
-                    edges.append((a * m + row, b * m + row))
-        return edges
+            rows = sorted(
+                {
+                    int(round((r + 1) * (m - 1) / (self.lateral_rows + 1)))
+                    for r in range(self.lateral_rows)
+                }
+            )
+            lateral = np.asarray(self.direction_edges)[None, :, :] * m
+            edges.append((lateral + np.asarray(rows)[:, None, None]).reshape(-1, 2))
+        return np.concatenate(edges)
 
     def displace(self, params: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        t = float(params[0]) + float(xi[0])
-        x = np.asarray(params[1:], dtype=float)
+        params = np.asarray(params, dtype=float)
+        t = params[:, :1] + xi[:, :1]
+        x = params[:, 1:]
         if self.sphere_dim:
-            y = x + tangent_basis(x) @ np.asarray(xi[1:], dtype=float)
-            y = y / np.linalg.norm(y)
+            y = x + (tangent_basis(x) @ xi[:, 1:, None])[..., 0]
+            y = y / np.linalg.norm(y, axis=1)[:, None]
         else:
             y = x
-        return np.concatenate(([t], y))
+        return np.concatenate([t, y], axis=1)
 
     def local_basis(self, params: np.ndarray) -> np.ndarray:
-        x = np.asarray(params[1:], dtype=float)
-        b = np.zeros((self.dim + 1, self.dim))
-        b[0, 0] = 1.0
+        params = np.asarray(params, dtype=float)
+        b = np.zeros((len(params), self.dim + 1, self.dim))
+        b[:, 0, 0] = 1.0
         if self.sphere_dim:
-            b[1:, 1:] = tangent_basis(x)
+            b[:, 1:, 1:] = tangent_basis(params[:, 1:])
         return b
 
     def path(
-        self, pa: np.ndarray, pb: np.ndarray
-    ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        ta, xa = float(pa[0]), np.asarray(pa[1:], dtype=float)
-        tb, xb = float(pb[0]), np.asarray(pb[1:], dtype=float)
-        dot = float(np.clip(xa @ xb, -1.0, 1.0))
-        omega = float(np.arccos(dot))
-        if omega > np.pi - 1e-9:
+        self, pa: np.ndarray, pb: np.ndarray, tau: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities (E, Q, d) of the paths pa[e] -> pb[e] at times
+        tau: linear in t, great-circle arcs in x."""
+        pa = np.asarray(pa, dtype=float)
+        pb = np.asarray(pb, dtype=float)
+        ta, xa = pa[:, 0, None], pa[:, None, 1:]
+        tb, xb = pb[:, 0, None], pb[:, None, 1:]
+        dot = np.clip(np.sum(xa * xb, axis=-1), -1.0, 1.0)
+        omega = np.arccos(dot)[:, :, None]  # (E, 1, 1)
+        if np.any(omega > np.pi - 1e-9):
             raise PipelineError(
                 f"chart '{self.id}': no canonical geodesic between antipodal"
                 " directions"
             )
+        tau = np.asarray(tau, dtype=float)
+        t = ta + tau[None, :] * (tb - ta)
+        w = tau[None, :, None]
+        still = omega < 1e-12
+        s = np.where(still, 1.0, np.sin(omega))
+        x = (np.sin((1 - w) * omega) * xa + np.sin(w * omega) * xb) / s
+        v = (-omega * np.cos((1 - w) * omega) * xa + omega * np.cos(w * omega) * xb) / s
+        x = np.where(still, xa, x)
+        v = np.where(still, 0.0, v)
+        dt = np.broadcast_to((tb - ta)[:, :, None], t.shape + (1,))
+        return np.concatenate([t[..., None], x], axis=2), np.concatenate([dt, v], axis=2)
 
-        def at(tau: float) -> tuple[np.ndarray, np.ndarray]:
-            t = ta + tau * (tb - ta)
-            if omega < 1e-12:
-                x, v = xa, np.zeros_like(xa)
-            else:
-                s = np.sin(omega)
-                x = (np.sin((1 - tau) * omega) * xa + np.sin(tau * omega) * xb) / s
-                v = (
-                    -omega * np.cos((1 - tau) * omega) * xa
-                    + omega * np.cos(tau * omega) * xb
-                ) / s
-            return np.concatenate(([t], x)), np.concatenate(([tb - ta], v))
-
-        return at
-
-    def param_distance(self, pa: np.ndarray, pb: np.ndarray) -> float:
-        dot = float(np.clip(np.asarray(pa[1:]) @ np.asarray(pb[1:]), -1.0, 1.0))
-        return float(np.hypot(pa[0] - pb[0], np.arccos(dot)))
+    def param_distance(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        pa = np.asarray(pa, dtype=float)
+        pb = np.asarray(pb, dtype=float)
+        dot = np.clip(np.sum(pa[..., 1:] * pb[..., 1:], axis=-1), -1.0, 1.0)
+        return np.hypot(pa[..., 0] - pb[..., 0], np.arccos(dot))
 
 
 @dataclass(frozen=True)
@@ -384,43 +408,33 @@ class SpokeBallChart:
         m = max(4, resolution // 8)
         return np.linspace(0.0, self.radius, m + 1)[1:]
 
-    def sample_points(self, resolution: int) -> list[np.ndarray]:
-        out = [np.zeros(self.dim)]
-        for direction in self.directions:
-            d = np.asarray(direction, dtype=float)
-            for r in self._radii(resolution):
-                out.append(r * d)
-        return out
+    def sample_points(self, resolution: int) -> np.ndarray:
+        directions = np.asarray(self.directions, dtype=float)
+        spokes = self._radii(resolution)[None, :, None] * directions[:, None, :]
+        return np.concatenate([np.zeros((1, self.dim)), spokes.reshape(-1, self.dim)])
 
-    def sample_edges(self, resolution: int) -> list[tuple[int, int]]:
+    def sample_edges(self, resolution: int) -> np.ndarray:
         m = len(self._radii(resolution))
-        edges: list[tuple[int, int]] = []
-        for k in range(len(self.directions)):
-            base = 1 + k * m
-            edges.append((0, base))
-            for i in range(m - 1):
-                edges.append((base + i, base + i + 1))
-        return edges
+        base = 1 + m * np.arange(len(self.directions))[:, None]
+        heads = base + np.arange(m)  # (directions, m): the samples of each spoke
+        tails = np.concatenate([np.zeros_like(base), heads[:, :-1]], axis=1)
+        return np.stack([tails.ravel(), heads.ravel()], axis=1)
 
     def displace(self, params: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return np.asarray(params, dtype=float) + xi
 
     def local_basis(self, params: np.ndarray) -> np.ndarray:
-        return np.eye(self.dim)
+        return _identity_basis(len(params), self.dim)
 
     def path(
-        self, pa: np.ndarray, pb: np.ndarray
-    ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        base = np.asarray(pa, dtype=float)
-        delta = np.asarray(pb, dtype=float) - base
+        self, pa: np.ndarray, pb: np.ndarray, tau: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities (E, Q, d) of the segments pa[e] -> pb[e] at times tau."""
+        pa = np.asarray(pa, dtype=float)
+        return _segments(pa, np.asarray(pb, dtype=float) - pa, tau)
 
-        def at(tau: float) -> tuple[np.ndarray, np.ndarray]:
-            return base + tau * delta, delta
-
-        return at
-
-    def param_distance(self, pa: np.ndarray, pb: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(pa) - np.asarray(pb)))
+    def param_distance(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(np.asarray(pa) - np.asarray(pb), axis=-1)
 
 
 Chart = BoxChart | SuspensionChart | SpokeBallChart
@@ -432,7 +446,7 @@ Chart = BoxChart | SuspensionChart | SpokeBallChart
 
 @dataclass(frozen=True)
 class ImmersionSpec:
-    """Chart atlas plus evaluation callbacks for one immersed Lagrangian."""
+    """Chart atlas plus batched evaluation callbacks for one immersed Lagrangian."""
 
     ambient: AmbientSpace
     charts: tuple[Chart, ...]
@@ -444,96 +458,86 @@ class ImmersionSpec:
     frame_tol: float = TOL_FRAME
 
     def jacobian(self, chart_id: str, params: np.ndarray) -> np.ndarray:
-        """Raw Jacobian (n, len(params)): analytic callback or central FD."""
+        """Raw Jacobians (m, n, d) at params (m, d): analytic callback or central FD."""
+        params = np.asarray(params, dtype=float)
         if self.differential is not None:
             return np.asarray(self.differential(chart_id, params), dtype=complex)
-        cols = []
-        for k in range(len(params)):
-            h = self.fd_step * (1.0 + abs(float(params[k])))
-            up = np.asarray(params, dtype=float).copy()
-            dn = up.copy()
-            up[k] += h
-            dn[k] -= h
-            cols.append(
-                (
-                    np.asarray(self.position(chart_id, up), dtype=complex)
-                    - np.asarray(self.position(chart_id, dn), dtype=complex)
-                )
-                / (2.0 * h)
-            )
-        return np.column_stack(cols)
-
-
-@dataclass
-class MeshSample:
-    index: int
-    chart_id: str
-    params: np.ndarray
-    point: np.ndarray
-    frame: LagrangianFrame
-    phase: float
-    intrinsic: np.ndarray | None = None
-    h: float | None = None
-    theta: float | None = None
+        m, d = params.shape
+        step = self.fd_step * (1.0 + np.abs(params))  # (m, d)
+        shifts = np.eye(d)[:, None, :] * step  # (d, m, d): coordinate k moved by its step
+        probes = np.concatenate([params + shifts, params - shifts]).reshape(-1, d)
+        z = np.asarray(self.position(chart_id, probes), dtype=complex).reshape(2, d, m, -1)
+        columns = (z[0] - z[1]) / (2.0 * step.T[:, :, None])  # (d, m, n)
+        return np.moveaxis(columns, 0, 2)
 
 
 @dataclass
 class ImmersionMesh:
-    """Samples plus connectivity; h and theta are filled by later passes."""
+    """Sample arrays plus connectivity; h and theta are filled by later passes.
+
+    Sample k lies on chart ``spec.charts[chart_index[k]]``; the samples of
+    chart c form the contiguous block ``offsets[c]:offsets[c + 1]``.  Rows
+    of ``params`` are padded with NaN past the chart's raw parameter
+    length ``param_dims[c]``.  ``glue[e]`` marks the edges that join two
+    charts at a declared glue point.
+    """
 
     spec: ImmersionSpec
     resolution: int
-    samples: list[MeshSample]
-    edges: list[tuple[int, int]]
-    glue_edges: set[int]
-    samples_by_chart: dict[str, list[int]]
+    chart_index: np.ndarray  # (N,) int
+    offsets: np.ndarray  # (C + 1,) int
+    param_dims: tuple[int, ...]
+    params: np.ndarray  # (N, max d) float
+    points: np.ndarray  # (N, n) complex
+    frames: np.ndarray  # (N, n, n) complex, unitary
+    phase: np.ndarray  # (N,) in [0, 1)
+    intrinsic: np.ndarray | None  # (N, k)
+    edges: np.ndarray  # (E, 2) int
+    glue: np.ndarray  # (E,) bool
+    h: np.ndarray | None = None
+    theta: np.ndarray | None = None
     exactness_residual: float | None = None
     grading_residual: float | None = None
+    _forests: dict = field(default_factory=dict, repr=False, compare=False)
 
     def chart(self, chart_id: str) -> Chart:
-        for chart in self.spec.charts:
+        return self.spec.charts[self.chart_number(chart_id)]
+
+    def chart_number(self, chart_id: str) -> int:
+        for c, chart in enumerate(self.spec.charts):
             if chart.id == chart_id:
-                return chart
+                return c
         raise KeyError(chart_id)
+
+    def chart_params(self, c: int) -> np.ndarray:
+        """Raw parameters (m, d) of the samples of chart number c."""
+        return self.params[self.offsets[c] : self.offsets[c + 1], : self.param_dims[c]]
+
+    def sample_params(self, k: int) -> np.ndarray:
+        return self.params[k, : self.param_dims[self.chart_index[k]]]
 
     @property
     def has_primitive(self) -> bool:
-        return all(s.h is not None for s in self.samples)
+        return self.h is not None
 
     @property
     def has_grading(self) -> bool:
-        return all(s.theta is not None for s in self.samples)
+        return self.theta is not None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PEARL_FLOER_THREADS", "")
+def _frames_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> np.ndarray:
+    """Unitary tangent frames (m, n, n) at a stack of parameter points."""
+    columns = spec.jacobian(chart.id, params) @ chart.local_basis(params)
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items: Sequence):
-    workers = _worker_count()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _frame_at(
-    spec: ImmersionSpec, chart: Chart, params: np.ndarray
-) -> tuple[LagrangianFrame, np.ndarray]:
-    """Unitary tangent frame and raw Jacobian at one parameter point."""
-    jac = spec.jacobian(chart.id, params)
-    columns = jac @ chart.local_basis(params)
-    try:
-        frame = make_unitary_frame(columns, tol=spec.frame_tol)
+        return make_unitary_frame(columns, tol=spec.frame_tol)
     except (NotLagrangian, Degenerate) as err:
-        raise type(err)(
-            f"at chart '{chart.id}' params {np.asarray(params).tolist()}: {err}"
-        ) from err
-    return frame, jac
+        where = np.asarray(params)[getattr(err, "index", 0)].tolist()
+        raise type(err)(f"at chart '{chart.id}' params {where}: {err}") from err
+
+
+def _frame_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> LagrangianFrame:
+    """Unitary tangent frame at one parameter point."""
+    return LagrangianFrame(_frames_at(spec, chart, np.asarray(params, dtype=float)[None])[0])
 
 
 def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) -> ImmersionMesh:
@@ -542,76 +546,75 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
         raise ValueError(
             f"resolution {resolution} below the supported minimum {MIN_RESOLUTION}"
         )
-    samples: list[MeshSample] = []
-    edges: list[tuple[int, int]] = []
-    samples_by_chart: dict[str, list[int]] = {}
-
+    n = spec.ambient.n
+    params, points, frames, intrinsic, edges = [], [], [], [], []
+    offsets = [0]
     for chart in spec.charts:
-        points = chart.sample_points(resolution)
-        offset = len(samples)
-
-        def build(item: tuple[int, np.ndarray], _chart=chart, _offset=offset) -> MeshSample:
-            k, params = item
-            point = np.asarray(spec.position(_chart.id, params), dtype=complex)
-            if point.shape != (spec.ambient.n,):
-                raise ValueError(
-                    f"position callback returned shape {point.shape}, expected"
-                    f" ({spec.ambient.n},)"
-                )
-            frame, _ = _frame_at(spec, _chart, params)
-            intrinsic = None
-            if spec.intrinsic is not None:
-                intrinsic = np.asarray(spec.intrinsic(_chart.id, params), dtype=float)
-            return MeshSample(
-                index=_offset + k,
-                chart_id=_chart.id,
-                params=np.asarray(params, dtype=float),
-                point=point,
-                frame=frame,
-                phase=det_squared_phase(frame),
-                intrinsic=intrinsic,
+        p = np.asarray(chart.sample_points(resolution), dtype=float)
+        z = np.asarray(spec.position(chart.id, p), dtype=complex)
+        if z.shape != (len(p), n):
+            raise ValueError(
+                f"position callback returned shape {z.shape}, expected"
+                f" ({len(p)}, {n})"
             )
+        params.append(p)
+        points.append(z)
+        for start in range(0, len(p), BATCH):
+            frames.append(_frames_at(spec, chart, p[start : start + BATCH]))
+        if spec.intrinsic is not None:
+            intrinsic.append(np.asarray(spec.intrinsic(chart.id, p), dtype=float))
+        edges.append(np.asarray(chart.sample_edges(resolution), dtype=np.intp) + offsets[-1])
+        offsets.append(offsets[-1] + len(p))
 
-        samples.extend(_parallel_map(build, list(enumerate(points))))
-        samples_by_chart[chart.id] = list(range(offset, offset + len(points)))
-        edges.extend(
-            (a + offset, b + offset) for a, b in chart.sample_edges(resolution)
-        )
+    param_dims = tuple(p.shape[1] for p in params)
+    padded = np.full((offsets[-1], max(param_dims)), np.nan)
+    for c, p in enumerate(params):
+        padded[offsets[c] : offsets[c + 1], : p.shape[1]] = p
+    frame_stack = np.concatenate(frames)
+    mesh = ImmersionMesh(
+        spec=spec,
+        resolution=resolution,
+        chart_index=np.repeat(np.arange(len(spec.charts)), np.diff(offsets)),
+        offsets=np.asarray(offsets),
+        param_dims=param_dims,
+        params=padded,
+        points=np.concatenate(points),
+        frames=frame_stack,
+        phase=det_squared_phase(frame_stack),
+        intrinsic=np.concatenate(intrinsic) if spec.intrinsic is not None else None,
+        edges=np.concatenate(edges),
+        glue=np.zeros(0, dtype=bool),
+    )
 
-    glue_edges: set[int] = set()
+    glue_edges = []
     for chart_a, params_a, chart_b, params_b in spec.glue:
-        ia = _locate_sample(samples, samples_by_chart, chart_a, params_a)
-        ib = _locate_sample(samples, samples_by_chart, chart_b, params_b)
-        gap = float(np.linalg.norm(samples[ia].point - samples[ib].point))
+        ia = _locate_sample(mesh, chart_a, params_a)
+        ib = _locate_sample(mesh, chart_b, params_b)
+        gap = float(np.linalg.norm(mesh.points[ia] - mesh.points[ib]))
         if gap > 1e-9:
             raise ValueError(
                 f"glue between '{chart_a}' and '{chart_b}' joins points"
                 f" {gap:.3e} apart"
             )
-        glue_edges.add(len(edges))
-        edges.append((ia, ib))
-
-    return ImmersionMesh(
-        spec=spec,
-        resolution=resolution,
-        samples=samples,
-        edges=edges,
-        glue_edges=glue_edges,
-        samples_by_chart=samples_by_chart,
-    )
+        glue_edges.append((ia, ib))
+    mesh.glue = np.arange(len(mesh.edges) + len(glue_edges)) >= len(mesh.edges)
+    if glue_edges:
+        mesh.edges = np.concatenate([mesh.edges, np.asarray(glue_edges, dtype=np.intp)])
+    return mesh
 
 
 def _locate_sample(
-    samples: list[MeshSample],
-    samples_by_chart: dict[str, list[int]],
-    chart_id: str,
-    params: tuple[float, ...],
-    tol: float = 1e-9,
+    mesh: ImmersionMesh, chart_id: str, params: tuple[float, ...], tol: float = 1e-9
 ) -> int:
     target = np.asarray(params, dtype=float)
-    for idx in samples_by_chart.get(chart_id, []):
-        if np.max(np.abs(samples[idx].params - target)) <= tol:
-            return idx
+    try:
+        c = mesh.chart_number(chart_id)
+    except KeyError:
+        c = None
+    if c is not None and target.shape == (mesh.param_dims[c],):
+        hits = np.flatnonzero(np.max(np.abs(mesh.chart_params(c) - target), axis=1) <= tol)
+        if len(hits):
+            return int(mesh.offsets[c] + hits[0])
     raise ValueError(
         f"glue point {list(params)} of chart '{chart_id}' is not a mesh sample"
     )
@@ -621,77 +624,116 @@ def _locate_sample(
 # integration and continuation passes
 
 
-def _edge_sigma(mesh: ImmersionMesh, edge_index: int, quad_points: int = 8) -> float:
-    """Integral of the primitive along one mesh edge.
+def _path_integrals(
+    spec: ImmersionSpec,
+    chart: Chart,
+    pa: np.ndarray,
+    pb: np.ndarray,
+    quad_points: int,
+) -> np.ndarray:
+    """Integrals of the primitive along the chart paths pa[e] -> pb[e].
 
     Trapezoid sums at ``quad_points`` and ``2 * quad_points`` panels are
-    combined by one Richardson extrapolation step.
+    combined by one Richardson extrapolation step.  Paths are evaluated in
+    blocks of at most :data:`QUAD_BLOCK` quadrature points.
     """
-    if edge_index in mesh.glue_edges:
-        return 0.0
-    i, j = mesh.edges[edge_index]
-    sa, sb = mesh.samples[i], mesh.samples[j]
-    spec = mesh.spec
-    chart = mesh.chart(sa.chart_id)
-    at = chart.path(sa.params, sb.params)
     fine = 2 * quad_points
-    values = np.empty(fine + 1)
-    for k in range(fine + 1):
-        params, velocity = at(k / fine)
+    tau = np.arange(fine + 1) / fine
+    per_block = max(1, QUAD_BLOCK // (fine + 1))
+    out = np.empty(len(pa))
+    for start in range(0, len(pa), per_block):
+        block = slice(start, start + per_block)
+        params, velocity = chart.path(pa[block], pb[block], tau)
+        d = params.shape[-1]
+        params = params.reshape(-1, d)
         z = np.asarray(spec.position(chart.id, params), dtype=complex)
-        dz = spec.jacobian(chart.id, params) @ velocity
-        values[k] = spec.ambient.sigma(z, dz)
-    t_fine = (values[0] / 2 + values[1:-1].sum() + values[-1] / 2) / fine
-    coarse = values[::2]
-    t_coarse = (coarse[0] / 2 + coarse[1:-1].sum() + coarse[-1] / 2) / quad_points
-    return float((4.0 * t_fine - t_coarse) / 3.0)
+        dz = np.sum(spec.jacobian(chart.id, params) * velocity.reshape(-1, 1, d), axis=-1)
+        values = spec.ambient.sigma(z, dz).reshape(-1, fine + 1)
+        t_fine = (values[:, 0] / 2 + values[:, 1:-1].sum(axis=1) + values[:, -1] / 2) / fine
+        coarse = values[:, ::2]
+        t_coarse = (
+            coarse[:, 0] / 2 + coarse[:, 1:-1].sum(axis=1) + coarse[:, -1] / 2
+        ) / quad_points
+        out[block] = (4.0 * t_fine - t_coarse) / 3.0
+    return out
 
 
-def _adjacency(mesh: ImmersionMesh) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in mesh.samples]
-    for e, (i, j) in enumerate(mesh.edges):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    for lst in adj:
-        lst.sort()
-    return adj
+@dataclass(frozen=True)
+class _Forest:
+    """BFS spanning forest: tree moves in visit order plus the other edges."""
+
+    moves: list[tuple[int, int, int, int]]  # (parent, child, edge, orientation)
+    non_tree: np.ndarray  # edge indices, ascending
 
 
-def _spanning_forest(
-    mesh: ImmersionMesh, basepoint: int
-) -> tuple[list[tuple[int, int, int, int]], list[int]]:
-    """Deterministic BFS forest.
+def _spanning_forest(mesh: ImmersionMesh, basepoint: int) -> _Forest:
+    """Deterministic BFS forest, built once per (mesh, basepoint).
 
-    Returns (tree_moves, non_tree_edges): tree_moves are (parent, child,
-    edge_index, orientation) in visit order; orientation is +1 when the
-    edge is stored as (parent, child).  The first component is rooted at
-    ``basepoint``, further components at their lowest sample index.
+    Orientation is +1 when the edge is stored as (parent, child).  The
+    first component is rooted at ``basepoint``, further components at
+    their lowest sample index; neighbours are visited by (sample, edge).
     """
-    n = len(mesh.samples)
+    n = len(mesh.points)
     if not 0 <= basepoint < n:
         raise ValueError(f"basepoint {basepoint} is not a sample index")
-    adj = _adjacency(mesh)
+    cached = mesh._forests.get(basepoint)
+    if cached is not None:
+        return cached
+    edges = mesh.edges
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    others = np.concatenate([edges[:, 1], edges[:, 0]])
+    edge_ids = np.tile(np.arange(len(edges)), 2)
+    # sort by (sample, neighbour, edge): stable sorts from the last key on
+    order = np.argsort(edge_ids, kind="stable")
+    order = order[np.argsort(others[order], kind="stable")]
+    order = order[np.argsort(ends[order], kind="stable")]
+    starts = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
+    neighbours = others[order].tolist()
+    via = edge_ids[order].tolist()
+    tails = edges[:, 0].tolist()
+
     visited = [False] * n
-    used_edges: set[int] = set()
+    used = np.zeros(len(edges), dtype=bool)
     moves: list[tuple[int, int, int, int]] = []
-    roots = [basepoint] + [k for k in range(n) if k != basepoint]
-    for root in roots:
+    for root in [basepoint] + [k for k in range(n) if k != basepoint]:
         if visited[root]:
             continue
         visited[root] = True
-        queue = [root]
+        queue = deque([root])
         while queue:
-            i = queue.pop(0)
-            for j, e in adj[i]:
+            i = queue.popleft()
+            for slot in range(starts[i], starts[i + 1]):
+                j = neighbours[slot]
                 if visited[j]:
                     continue
                 visited[j] = True
-                used_edges.add(e)
-                orientation = 1 if mesh.edges[e][0] == i else -1
-                moves.append((i, j, e, orientation))
+                e = via[slot]
+                used[e] = True
+                moves.append((i, j, e, 1 if tails[e] == i else -1))
                 queue.append(j)
-    non_tree = [e for e in range(len(mesh.edges)) if e not in used_edges]
-    return moves, non_tree
+    forest = _Forest(moves=moves, non_tree=np.flatnonzero(~used))
+    mesh._forests[basepoint] = forest
+    return forest
+
+
+def _integrate(
+    mesh: ImmersionMesh, basepoint: int, cochain: np.ndarray, roots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate an edge cochain along the spanning forest.
+
+    ``cochain[e]`` is the increment from ``edges[e, 0]`` to ``edges[e, 1]``;
+    each tree root keeps its value from ``roots``.  Returns the potentials
+    and, for the non-tree edges (i, j) in index order, the loop defects
+    ``p[j] - p[i] - cochain[e]`` together with i and j.
+    """
+    forest = _spanning_forest(mesh, basepoint)
+    values = roots.tolist()
+    steps = cochain.tolist()
+    for i, j, e, orientation in forest.moves:
+        values[j] = values[i] + orientation * steps[e]
+    potentials = np.asarray(values)
+    i, j = mesh.edges[forest.non_tree].T
+    return potentials, potentials[j] - potentials[i] - cochain[forest.non_tree], i, j
 
 
 def compute_primitive(
@@ -707,32 +749,28 @@ def compute_primitive(
     mesh loop; its sigma-holonomy must vanish within ``tol_exact``, else
     the immersion is not exact and :class:`NotExact` is raised.
     """
-    sigma = [_edge_sigma(mesh, e, quad_points) for e in range(len(mesh.edges))]
-    moves, non_tree = _spanning_forest(mesh, basepoint)
-    for s in mesh.samples:
-        s.h = None
-    mesh.samples[basepoint].h = 0.0
-    for i, j, e, orientation in moves:
-        if mesh.samples[i].h is None:  # root of a further component
-            mesh.samples[i].h = 0.0
-        mesh.samples[j].h = mesh.samples[i].h + orientation * sigma[e]
-    for s in mesh.samples:
-        if s.h is None:
-            s.h = 0.0
-    worst = 0.0
-    for e in non_tree:
-        i, j = mesh.edges[e]
-        residual = abs(mesh.samples[j].h - mesh.samples[i].h - sigma[e])
-        worst = max(worst, residual)
-        if residual > tol_exact:
-            raise NotExact(
-                f"mesh loop through samples ({i}, {j}) has primitive holonomy"
-                f" {residual:.6e} > tol_exact {tol_exact:g}: the immersion is"
-                " not exact",
-                residual=residual,
-                edge=(i, j),
+    sigma = np.zeros(len(mesh.edges))
+    heads = mesh.chart_index[mesh.edges[:, 0]]
+    for c, chart in enumerate(mesh.spec.charts):
+        chosen = np.flatnonzero(~mesh.glue & (heads == c))
+        if len(chosen):
+            ends = mesh.params[mesh.edges[chosen], : mesh.param_dims[c]]
+            sigma[chosen] = _path_integrals(
+                mesh.spec, chart, ends[:, 0], ends[:, 1], quad_points
             )
-    mesh.exactness_residual = worst
+    mesh.h, residual, i, j = _integrate(mesh, basepoint, sigma, np.zeros(len(mesh.points)))
+    residual = np.abs(residual)
+    failing = np.flatnonzero(residual > tol_exact)
+    if len(failing):
+        k = failing[0]
+        raise NotExact(
+            f"mesh loop through samples ({i[k]}, {j[k]}) has primitive holonomy"
+            f" {residual[k]:.6e} > tol_exact {tol_exact:g}: the immersion is"
+            " not exact",
+            residual=float(residual[k]),
+            edge=(int(i[k]), int(j[k])),
+        )
+    mesh.exactness_residual = float(np.fmax.reduce(residual, initial=0.0))
     return mesh
 
 
@@ -745,41 +783,29 @@ def compute_grading(
     carry an integer defect (the winding of the phase around the loop);
     any nonzero value means the immersion admits no grading.
     """
-    moves, non_tree = _spanning_forest(mesh, basepoint)
-    for s in mesh.samples:
-        s.theta = None
-    mesh.samples[basepoint].theta = mesh.samples[basepoint].phase
-    for i, j, _e, _orientation in moves:
-        si, sj = mesh.samples[i], mesh.samples[j]
-        if si.theta is None:
-            si.theta = si.phase
-        sj.theta = si.theta + _wrap_half(sj.phase - si.phase)
-    for s in mesh.samples:
-        if s.theta is None:
-            s.theta = s.phase
-    worst = 0.0
-    for e in non_tree:
-        i, j = mesh.edges[e]
-        si, sj = mesh.samples[i], mesh.samples[j]
-        defect = sj.theta - si.theta - _wrap_half(sj.phase - si.phase)
-        rounded = round(defect)
-        worst = max(worst, abs(defect - rounded))
-        if abs(defect - rounded) > tol_integer:
+    jumps = _wrap_half(mesh.phase[mesh.edges[:, 1]] - mesh.phase[mesh.edges[:, 0]])
+    mesh.theta, defect, i, j = _integrate(mesh, basepoint, jumps, mesh.phase)
+    rounded = np.round(defect)
+    off = np.abs(defect - rounded)
+    failing = np.flatnonzero((off > tol_integer) | (rounded != 0))
+    if len(failing):
+        k = failing[0]
+        if off[k] > tol_integer:
             raise NotGraded(
-                f"loop through samples ({i}, {j}) has non-integer phase defect"
-                f" {defect:.6e}; the mesh is too coarse to certify a grading",
+                f"loop through samples ({i[k]}, {j[k]}) has non-integer phase defect"
+                f" {defect[k]:.6e}; the mesh is too coarse to certify a grading",
                 holonomy=0,
-                edge=(i, j),
+                edge=(int(i[k]), int(j[k])),
             )
-        if rounded != 0:
-            raise NotGraded(
-                f"squared-determinant phase winds {rounded:+d} times around the"
-                f" loop through samples ({i}, {j}): the immersion is not"
-                " gradable",
-                holonomy=abs(rounded),
-                edge=(i, j),
-            )
-    mesh.grading_residual = worst
+        winding = int(rounded[k])
+        raise NotGraded(
+            f"squared-determinant phase winds {winding:+d} times around the"
+            f" loop through samples ({i[k]}, {j[k]}): the immersion is not"
+            " gradable",
+            holonomy=abs(winding),
+            edge=(int(i[k]), int(j[k])),
+        )
+    mesh.grading_residual = float(np.fmax.reduce(off, initial=0.0))
     return mesh
 
 
@@ -805,69 +831,164 @@ class DoublePointRecord:
     residual: float
 
 
-def _median(values: list[float]) -> float:
-    if not values:
+def _median(values: np.ndarray) -> float:
+    """Upper median (the middle element of the sorted values); 0 if empty."""
+    if len(values) == 0:
         return 0.0
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
+    return float(np.sort(values)[len(values) // 2])
 
 
-def _realify(matrix: np.ndarray) -> np.ndarray:
-    return np.vstack([matrix.real, matrix.imag])
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of the stacked systems a x = b.
+
+    Singular values at or below eps * max(M, N) times the largest count as
+    zero, the cutoff of ``numpy.linalg.lstsq`` with ``rcond=None``.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    ub = (np.swapaxes(u, 1, 2) @ b[:, :, None])[:, :, 0]
+    return (np.swapaxes(vt, 1, 2) @ (inverse * ub)[:, :, None])[:, :, 0]
 
 
-def _refine_seed(
+def _refine_seeds(
+    spec: ImmersionSpec, chart_a: Chart, chart_b: Chart, pa: np.ndarray, pb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Newton iteration on position(a) - position(b) = 0 for a stack of seeds.
+
+    Seeds advance together in blocks of at most :data:`BATCH`; each
+    stops on its own, after a step shorter than ``NEWTON_STEP_TOL`` or
+    ``NEWTON_MAX_ITER`` steps.  Returns the refined params, the midpoints
+    of the two images and the final residual norms.
+    """
+    pa, pb = pa.copy(), pb.copy()
+    za = np.empty((len(pa), spec.ambient.n), dtype=complex)
+    zb = np.empty_like(za)
+    for start in range(0, len(pa), BATCH):
+        live = np.arange(start, min(start + BATCH, len(pa)))
+        za[live] = spec.position(chart_a.id, pa[live])
+        zb[live] = spec.position(chart_b.id, pb[live])
+        for _ in range(NEWTON_MAX_ITER):
+            if not len(live):
+                break
+            qa, qb = pa[live], pb[live]
+            residual = za[live] - zb[live]
+            ja = spec.jacobian(chart_a.id, qa) @ chart_a.local_basis(qa)
+            jb = spec.jacobian(chart_b.id, qb) @ chart_b.local_basis(qb)
+            system = np.concatenate([ja, -jb], axis=2)
+            step = _lstsq(
+                np.concatenate([system.real, system.imag], axis=1),
+                np.concatenate([-residual.real, -residual.imag], axis=1),
+            )
+            qa = chart_a.displace(qa, step[:, : chart_a.dim])
+            qb = chart_b.displace(qb, step[:, chart_a.dim :])
+            pa[live], pb[live] = qa, qb
+            za[live] = spec.position(chart_a.id, qa)
+            zb[live] = spec.position(chart_b.id, qb)
+            live = live[np.linalg.norm(step, axis=1) >= NEWTON_STEP_TOL]
+    return pa, pb, (za + zb) / 2.0, np.linalg.norm(za - zb, axis=1)
+
+
+def _same_sheet(
     mesh: ImmersionMesh,
-    seed: tuple[int, int],
-    refine_tol: float,
-) -> tuple[str, np.ndarray, str, np.ndarray, np.ndarray] | None:
-    """Newton iteration on position(a) - position(b) = 0 from a sample pair."""
-    spec = mesh.spec
-    sa, sb = mesh.samples[seed[0]], mesh.samples[seed[1]]
-    chart_a, chart_b = mesh.chart(sa.chart_id), mesh.chart(sb.chart_id)
-    pa = sa.params.copy()
-    pb = sb.params.copy()
-    dim_a = chart_a.dim
-    za = np.asarray(spec.position(chart_a.id, pa), dtype=complex)
-    zb = np.asarray(spec.position(chart_b.id, pb), dtype=complex)
-    for _ in range(NEWTON_MAX_ITER):
-        residual = za - zb
-        ja = spec.jacobian(chart_a.id, pa) @ chart_a.local_basis(pa)
-        jb = spec.jacobian(chart_b.id, pb) @ chart_b.local_basis(pb)
-        system = _realify(np.hstack([ja, -jb]))
-        rhs = np.concatenate([(-residual).real, (-residual).imag])
-        step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        pa = chart_a.displace(pa, step[:dim_a])
-        pb = chart_b.displace(pb, step[dim_a:])
-        za = np.asarray(spec.position(chart_a.id, pa), dtype=complex)
-        zb = np.asarray(spec.position(chart_b.id, pb), dtype=complex)
-        if float(np.linalg.norm(step)) < NEWTON_STEP_TOL:
-            break
-    if float(np.linalg.norm(za - zb)) > refine_tol:
-        return None
-    return (chart_a.id, pa, chart_b.id, pb, (za + zb) / 2.0)
-
-
-def _too_close_on_domain(
-    mesh: ImmersionMesh,
-    chart_id_a: str,
+    chart_a: np.ndarray,
     params_a: np.ndarray,
     intrinsic_a: np.ndarray | None,
-    chart_id_b: str,
+    chart_b: np.ndarray,
     params_b: np.ndarray,
     intrinsic_b: np.ndarray | None,
-    intrinsic_cut: float,
-    param_cut: dict[str, float],
-) -> bool:
-    """Diagonal suppression: are two preimages the same sheet point?"""
+    cuts: tuple[float, list[float]],
+) -> np.ndarray:
+    """Diagonal suppression: which preimage pairs are the same sheet point?
+
+    Preimages are given by chart numbers (arrays, or one number for all),
+    NaN-padded params and intrinsic points (None without an intrinsic
+    callback).  ``cuts`` holds the intrinsic distance cut and the
+    parameter distance cut of each chart.
+    """
+    intrinsic_cut, param_cut = cuts
     if intrinsic_a is not None and intrinsic_b is not None:
-        return float(np.linalg.norm(intrinsic_a - intrinsic_b)) < intrinsic_cut
-    if chart_id_a != chart_id_b:
-        return False
-    chart = mesh.chart(chart_id_a)
-    return chart.param_distance(params_a, params_b) < param_cut.get(
-        chart_id_a, 0.0
-    )
+        return np.linalg.norm(intrinsic_a - intrinsic_b, axis=-1) < intrinsic_cut
+    same = np.zeros(len(params_a), dtype=bool)
+    for c, chart in enumerate(mesh.spec.charts):
+        on_c = np.broadcast_to((chart_a == c) & (chart_b == c), same.shape)
+        if on_c.any():
+            d = mesh.param_dims[c]
+            same[on_c] = chart.param_distance(params_a[on_c, :d], params_b[on_c, :d]) < param_cut[c]
+    return same
+
+
+def _candidate_pairs(
+    coords: np.ndarray, radius: float, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The pairs (i, j), i < j, of rows at distance <= radius that ``keep``
+    accepts, sorted.
+
+    Broad phase: rows are hashed on their first three coordinates into
+    cubes of side ``radius``; true distances are checked between each
+    cube and its neighbours.
+    """
+    proj = coords[:, : min(coords.shape[1], 3)]
+    cell = max(radius, 1e-12)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for idx, key in enumerate(np.floor(proj / cell).astype(np.int64).tolist()):
+        buckets.setdefault(tuple(key), []).append(idx)
+    offsets = list(product((-1, 0, 1), repeat=proj.shape[1]))
+    found = [np.zeros((0, 2), dtype=np.intp)]
+    for key, members in buckets.items():
+        cand = np.asarray(
+            [
+                other
+                for off in offsets
+                for other in buckets.get(tuple(k + o for k, o in zip(key, off)), ())
+            ]
+        )
+        rows = max(1, PAIR_BLOCK // len(cand))
+        for start in range(0, len(members), rows):
+            own = np.asarray(members[start : start + rows])
+            dist = np.linalg.norm(coords[cand][None, :, :] - coords[own][:, None, :], axis=2)
+            hit_own, hit_cand = np.nonzero((dist <= radius) & (cand[None, :] > own[:, None]))
+            i, j = own[hit_own], cand[hit_cand]
+            chosen = keep(i, j)
+            found.append(np.stack([i[chosen], j[chosen]], axis=1))
+    pairs = np.concatenate(found)
+    codes = np.sort(pairs[:, 0] * len(coords) + pairs[:, 1])
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # np.unique would page in ~1 MB of code
+    return np.stack([codes // len(coords), codes % len(coords)], axis=1)
+
+
+def _distinct_preimages(
+    mesh: ImmersionMesh,
+    chart: np.ndarray,
+    params: np.ndarray,
+    intrinsic: np.ndarray | None,
+    param_tol: float,
+    intrinsic_tol: float,
+) -> list[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Preimages in order, each kept unless it matches an earlier kept one.
+
+    Two preimages match when they lie on the same chart within
+    ``param_tol``, or when their intrinsic points lie within
+    ``intrinsic_tol``.
+    """
+    kept = []
+    remaining = np.arange(len(chart))
+    while len(remaining):
+        first = remaining[0]
+        c = int(chart[first])
+        d = mesh.param_dims[c]
+        same = np.zeros(len(remaining), dtype=bool)
+        on_chart = chart[remaining] == c
+        same[on_chart] = (
+            mesh.spec.charts[c].param_distance(params[remaining[on_chart], :d], params[first, :d])
+            <= param_tol
+        )
+        if intrinsic is not None:
+            same |= np.linalg.norm(intrinsic[remaining] - intrinsic[first], axis=1) <= intrinsic_tol
+        same[0] = True
+        kept.append((c, params[first, :d], None if intrinsic is None else intrinsic[first]))
+        remaining = remaining[~same]
+    return kept
 
 
 def find_double_points(
@@ -885,9 +1006,10 @@ def find_double_points(
     median mesh spacing; in high codimension the hash key uses a fixed
     low-dimensional coordinate projection, with true distances checked on
     every bucket collision).  Candidate pairs that survive the
-    self-proximity exclusion are polished by Newton iteration, duplicate
-    roots are merged, and every surviving geometric point is emitted as
-    two ordered records carrying angles, actions and indices.
+    self-proximity exclusion are polished by Newton iteration (the seeds
+    of one chart pair in batches), duplicate roots are merged, and every
+    surviving geometric point is emitted as two ordered records carrying
+    angles, actions and indices.
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(
@@ -896,138 +1018,111 @@ def find_double_points(
         )
     spec = mesh.spec
     n = spec.ambient.n
+    charts = spec.charts
 
-    edge_lengths = [
-        float(np.linalg.norm(mesh.samples[i].point - mesh.samples[j].point))
-        for e, (i, j) in enumerate(mesh.edges)
-        if e not in mesh.glue_edges
-    ]
-    spacing = max(_median(edge_lengths), 1e-12)
+    inner = mesh.edges[~mesh.glue]
+    ti, hi = inner[:, 0], inner[:, 1]
+    spacing = max(_median(np.linalg.norm(mesh.points[ti] - mesh.points[hi], axis=1)), 1e-12)
     radius = exclusion_cells * spacing
-
-    intrinsic_lengths = [
-        float(np.linalg.norm(mesh.samples[i].intrinsic - mesh.samples[j].intrinsic))
-        for e, (i, j) in enumerate(mesh.edges)
-        if e not in mesh.glue_edges
-        and mesh.samples[i].intrinsic is not None
-        and mesh.samples[j].intrinsic is not None
-    ]
-    intrinsic_cut = exclusion_cells * _median(intrinsic_lengths)
-
-    param_cut: dict[str, float] = {}
-    for chart in spec.charts:
-        deltas = [
-            chart.param_distance(mesh.samples[i].params, mesh.samples[j].params)
-            for e, (i, j) in enumerate(mesh.edges)
-            if e not in mesh.glue_edges
-            and mesh.samples[i].chart_id == chart.id
-            and mesh.samples[j].chart_id == chart.id
-        ]
-        param_cut[chart.id] = exclusion_cells * _median(deltas)
-
-    # --- broad phase: hash on a low-dimensional projection of the points
-    coords = np.array(
-        [np.concatenate([s.point.real, s.point.imag]) for s in mesh.samples]
-    )
-    proj = coords[:, : min(coords.shape[1], 3)]
-    cell = max(radius, 1e-12)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx in range(len(mesh.samples)):
-        key = tuple(int(np.floor(v / cell)) for v in proj[idx])
-        buckets.setdefault(key, []).append(idx)
-    offsets = np.stack(
-        np.meshgrid(*([[-1, 0, 1]] * proj.shape[1]), indexing="ij"), axis=-1
-    ).reshape(-1, proj.shape[1])
-
-    seeds: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for key, members in sorted(buckets.items()):
-        neighbourhood: list[int] = []
-        for off in offsets:
-            neighbourhood.extend(buckets.get(tuple(np.asarray(key) + off), []))
-        cand = np.asarray(sorted(neighbourhood), dtype=int)
-        for i in members:
-            si = mesh.samples[i]
-            above = cand[cand > i]
-            if len(above) == 0:
-                continue
-            close = above[
-                np.linalg.norm(coords[above] - coords[i], axis=1) <= radius
-            ]
-            for j in close:
-                j = int(j)
-                sj = mesh.samples[j]
-                if _too_close_on_domain(
-                    mesh,
-                    si.chart_id,
-                    si.params,
-                    si.intrinsic,
-                    sj.chart_id,
-                    sj.params,
-                    sj.intrinsic,
-                    intrinsic_cut,
-                    param_cut,
-                ):
-                    continue
-                pair = (i, j)
-                if pair not in seen:
-                    seen.add(pair)
-                    seeds.append(pair)
-    seeds.sort()
-
-    refined = [
-        r
-        for r in _parallel_map(
-            lambda seed: _refine_seed(mesh, seed, refine_tol), seeds
+    intrinsic_cut = 0.0
+    if mesh.intrinsic is not None:
+        intrinsic_cut = exclusion_cells * _median(
+            np.linalg.norm(mesh.intrinsic[ti] - mesh.intrinsic[hi], axis=1)
         )
-        if r is not None
-    ]
+    param_cut = []
+    for c, chart in enumerate(charts):
+        own = inner[mesh.chart_index[ti] == c]
+        d = mesh.param_dims[c]
+        deltas = chart.param_distance(mesh.params[own[:, 0], :d], mesh.params[own[:, 1], :d])
+        param_cut.append(exclusion_cells * _median(deltas))
+    cuts = (intrinsic_cut, param_cut)
 
-    # drop roots that collapsed onto the diagonal during refinement
-    kept = []
-    for chart_id_a, pa, chart_id_b, pb, point in refined:
-        ia = _intrinsic_at(mesh, chart_id_a, pa)
-        ib = _intrinsic_at(mesh, chart_id_b, pb)
-        if _too_close_on_domain(
-            mesh, chart_id_a, pa, ia, chart_id_b, pb, ib, intrinsic_cut, param_cut
-        ):
+    def apart(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        intrinsic = mesh.intrinsic
+        return ~_same_sheet(
+            mesh,
+            mesh.chart_index[i], mesh.params[i], None if intrinsic is None else intrinsic[i],
+            mesh.chart_index[j], mesh.params[j], None if intrinsic is None else intrinsic[j],
+            cuts,
+        )
+
+    coords = np.concatenate([mesh.points.real, mesh.points.imag], axis=1)
+    seeds = _candidate_pairs(coords, radius, apart)
+
+    # --- per chart pair: refine, then drop roots that collapsed onto the
+    # diagonal.  A root has two sides: chart, NaN-padded params, intrinsic.
+    width = mesh.params.shape[1]
+    found: list[tuple] = []  # (seed positions, side charts, side params, side intrinsic, points)
+    ca_all = mesh.chart_index[seeds[:, 0]]
+    cb_all = mesh.chart_index[seeds[:, 1]]
+    for ca, cb in sorted(set(zip(ca_all.tolist(), cb_all.tolist()))):
+        chosen = np.flatnonzero((ca_all == ca) & (cb_all == cb))
+        da, db = mesh.param_dims[ca], mesh.param_dims[cb]
+        pa = mesh.params[seeds[chosen, 0], :da]
+        pb = mesh.params[seeds[chosen, 1], :db]
+        pa, pb, points, gaps = _refine_seeds(spec, charts[ca], charts[cb], pa, pb)
+        close = gaps <= refine_tol
+        if not close.any():
             continue
-        kept.append((chart_id_a, pa, ia, chart_id_b, pb, ib, point))
+        params = np.full((int(close.sum()), 2, width), np.nan)
+        params[:, 0, :da] = pa[close]
+        params[:, 1, :db] = pb[close]
+        intrinsic = None
+        if spec.intrinsic is not None:
+            intrinsic = np.stack(
+                [spec.intrinsic(charts[ca].id, pa[close]), spec.intrinsic(charts[cb].id, pb[close])],
+                axis=1,
+            ).astype(float)
+        sides = np.broadcast_to(np.array([ca, cb]), (len(params), 2))
+        keep = ~_same_sheet(
+            mesh,
+            ca, params[:, 0], None if intrinsic is None else intrinsic[:, 0],
+            cb, params[:, 1], None if intrinsic is None else intrinsic[:, 1],
+            cuts,
+        )
+        found.append(
+            (
+                chosen[close][keep],
+                sides[keep],
+                params[keep],
+                None if intrinsic is None else intrinsic[keep],
+                points[close][keep],
+            )
+        )
 
-    # --- merge duplicates: group by geometric point, then by preimage
+    # --- merge duplicates in seed order: group by geometric point, then
+    # by preimage; a group's point is that of its first root
     merge_tol = 1e-6
     groups: list[dict] = []
-    for chart_id_a, pa, ia, chart_id_b, pb, ib, point in kept:
-        target = None
-        for group in groups:
-            if float(np.linalg.norm(group["point"] - point)) <= merge_tol * (
-                1.0 + float(np.linalg.norm(point))
-            ):
-                target = group
-                break
-        if target is None:
-            target = {"point": point, "preimages": []}
-            groups.append(target)
-        for chart_id, params, intr in (
-            (chart_id_a, pa, ia),
-            (chart_id_b, pb, ib),
-        ):
-            known = False
-            for other in target["preimages"]:
-                if other[0] == chart_id and mesh.chart(chart_id).param_distance(
-                    other[1], params
-                ) <= max(merge_tol, 10 * refine_tol):
-                    known = True
-                    break
-                if (
-                    intr is not None
-                    and other[2] is not None
-                    and float(np.linalg.norm(other[2] - intr)) <= merge_tol
-                ):
-                    known = True
-                    break
-            if not known:
-                target["preimages"].append((chart_id, params, intr))
+    if found:
+        seed_pos, side_chart, side_params, side_intr, points = (
+            None if parts[0] is None else np.concatenate(parts) for parts in zip(*found)
+        )
+        remaining = np.argsort(seed_pos)
+        while len(remaining):
+            point = points[remaining[0]]
+            rest = points[remaining]
+            near = np.linalg.norm(rest - point, axis=1) <= merge_tol * (
+                1.0 + np.linalg.norm(rest, axis=1)
+            )
+            near[0] = True
+            members = remaining[near]
+            remaining = remaining[~near]
+            groups.append(
+                {
+                    "point": point,
+                    "preimages": _distinct_preimages(
+                        mesh,
+                        side_chart[members].ravel(),
+                        side_params[members].reshape(-1, width),
+                        None
+                        if side_intr is None
+                        else side_intr[members].reshape(-1, side_intr.shape[-1]),
+                        max(merge_tol, 10 * refine_tol),
+                        merge_tol,
+                    ),
+                }
+            )
 
     groups.sort(key=lambda g: tuple(np.round(np.concatenate([g["point"].real, g["point"].imag]), 6)))
 
@@ -1035,7 +1130,7 @@ def find_double_points(
     for k, group in enumerate(groups):
         preimages = sorted(
             group["preimages"],
-            key=lambda pre: (pre[0], tuple(np.round(pre[1], 9))),
+            key=lambda pre: (charts[pre[0]].id, tuple(np.round(pre[1], 9))),
         )
         if len(preimages) < 2:
             continue  # a diagonal artifact that survived; not a double point
@@ -1045,23 +1140,22 @@ def find_double_points(
                 f" {group['point'].tolist()}"
             )
         sides = []
-        for chart_id, params, _intr in preimages:
-            chart = mesh.chart(chart_id)
-            frame, _ = _frame_at(spec, chart, params)
-            h_val, theta_val = _continue_h_theta(mesh, chart_id, params, frame, quad_points)
-            sides.append((chart_id, params, frame, h_val, theta_val))
-        fa, fb = sides[0][2], sides[1][2]
-        if not transversality_check(fa, fb, transverse_tol):
-            raise NonTransverseDoublePoint(
-                f"sheets meet tangentially at ambient point {group['point'].tolist()}"
-            )
+        for c, params, _intr in preimages:
+            frame = _frame_at(spec, charts[c], params)
+            h_val, theta_val = _continue_h_theta(mesh, c, params, frame, quad_points)
+            sides.append((charts[c].id, params, frame, h_val, theta_val))
         ids = (f"dp{k}a", f"dp{k}b")
         point_tuple = tuple(complex(z) for z in group["point"])
         ordered = []
         for (p, q) in ((0, 1), (1, 0)):
             cp, pp, fp, hp, tp = sides[p]
             cq, pq, fq, hq, tq = sides[q]
-            angles = kahler_angles(fp, fq, tol=transverse_tol)
+            try:
+                angles = kahler_angles(fp, fq, tol=transverse_tol)
+            except NotTransverse as err:
+                raise NonTransverseDoublePoint(
+                    f"sheets meet tangentially at ambient point {group['point'].tolist()}"
+                ) from err
             value = index_of_pair(tp, tq, angles, n)
             if value.residual > tol_index:
                 raise IndexNotIntegral(
@@ -1093,45 +1187,22 @@ def find_double_points(
     return records
 
 
-def _intrinsic_at(
-    mesh: ImmersionMesh, chart_id: str, params: np.ndarray
-) -> np.ndarray | None:
-    if mesh.spec.intrinsic is None:
-        return None
-    return np.asarray(mesh.spec.intrinsic(chart_id, params), dtype=float)
-
-
 def _continue_h_theta(
     mesh: ImmersionMesh,
-    chart_id: str,
+    c: int,
     params: np.ndarray,
     frame: LagrangianFrame,
     quad_points: int,
 ) -> tuple[float, float]:
-    """h and theta at an off-mesh parameter point, continued from the
-    nearest sample of the same chart."""
-    chart = mesh.chart(chart_id)
-    best = None
-    best_dist = np.inf
-    for idx in mesh.samples_by_chart[chart_id]:
-        dist = chart.param_distance(mesh.samples[idx].params, params)
-        if dist < best_dist:
-            best, best_dist = mesh.samples[idx], dist
-    assert best is not None
-    spec = mesh.spec
-    at = chart.path(best.params, params)
-    fine = 2 * quad_points
-    values = np.empty(fine + 1)
-    for k in range(fine + 1):
-        p, velocity = at(k / fine)
-        z = np.asarray(spec.position(chart_id, p), dtype=complex)
-        dz = spec.jacobian(chart_id, p) @ velocity
-        values[k] = spec.ambient.sigma(z, dz)
-    t_fine = (values[0] / 2 + values[1:-1].sum() + values[-1] / 2) / fine
-    coarse = values[::2]
-    t_coarse = (coarse[0] / 2 + coarse[1:-1].sum() + coarse[-1] / 2) / quad_points
-    h_val = best.h + float((4.0 * t_fine - t_coarse) / 3.0)
-    theta_val = best.theta + _wrap_half(det_squared_phase(frame) - best.phase)
+    """h and theta at an off-mesh parameter point of chart number c,
+    continued from the nearest sample of the same chart."""
+    chart = mesh.spec.charts[c]
+    best = int(mesh.offsets[c]) + int(np.argmin(chart.param_distance(mesh.chart_params(c), params)))
+    sigma = _path_integrals(
+        mesh.spec, chart, mesh.sample_params(best)[None], params[None], quad_points
+    )[0]
+    h_val = float(mesh.h[best] + sigma)
+    theta_val = float(mesh.theta[best] + _wrap_half(det_squared_phase(frame) - mesh.phase[best]))
     return h_val, theta_val
 
 
@@ -1194,12 +1265,8 @@ def probe_frame_invariance(
     n = spec.ambient.n
     worst = 0.0
     for record in double_points:
-        fa, _ = _frame_at(
-            spec, mesh.chart(record.p_chart), np.asarray(record.p_params)
-        )
-        fb, _ = _frame_at(
-            spec, mesh.chart(record.q_chart), np.asarray(record.q_params)
-        )
+        fa = _frame_at(spec, mesh.chart(record.p_chart), record.p_params)
+        fb = _frame_at(spec, mesh.chart(record.q_chart), record.q_params)
         base = kahler_angles(fa, fb)
         for _ in range(trials):
             q_a, _ = np.linalg.qr(rng.normal(size=(n, n)))

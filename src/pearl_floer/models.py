@@ -1,7 +1,9 @@
 """Built-in immersion models for the pipeline and the command line.
 
 Each model is a builder taking the ambient dimension and returning the
-pair (ImmersionSpec, MorseData).  Models with a fixed natural dimension
+pair (ImmersionSpec, MorseData).  Callbacks follow the batched contract of
+:mod:`pearl_floer.immersion`: a stack of parameters (m, d) in, one row of
+output per parameter vector out.  Models with a fixed natural dimension
 (circle, figure_eight, cylinder) reject other values so the command line
 can report the mistake instead of producing nonsense.
 
@@ -33,7 +35,7 @@ def _flat(n: int) -> ImmersionSpec:
         return np.asarray(params, dtype=complex)
 
     def differential(chart_id: str, params: np.ndarray) -> np.ndarray:
-        return np.eye(n, dtype=complex)
+        return np.broadcast_to(np.eye(n, dtype=complex), (len(params), n, n))
 
     def intrinsic(chart_id: str, params: np.ndarray) -> np.ndarray:
         return np.asarray(params, dtype=float)
@@ -47,25 +49,27 @@ def _flat(n: int) -> ImmersionSpec:
     )
 
 
+def _loop_intrinsic(chart_id: str, params: np.ndarray) -> np.ndarray:
+    """The loop parameter t as the point (cos 2 pi t, sin 2 pi t) of the circle."""
+    angle = 2.0 * np.pi * params[:, 0]
+    return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
 def _circle(n: int) -> ImmersionSpec:
     chart = BoxChart(id="loop", lo=(0.0,), hi=(1.0,), periodic=(True,))
 
     def position(chart_id: str, params: np.ndarray) -> np.ndarray:
-        return np.array([np.exp(2j * np.pi * params[0])])
+        return np.exp(2j * np.pi * params)
 
     def differential(chart_id: str, params: np.ndarray) -> np.ndarray:
-        return np.array([[2j * np.pi * np.exp(2j * np.pi * params[0])]])
-
-    def intrinsic(chart_id: str, params: np.ndarray) -> np.ndarray:
-        angle = 2.0 * np.pi * params[0]
-        return np.array([np.cos(angle), np.sin(angle)])
+        return (2j * np.pi * np.exp(2j * np.pi * params))[:, :, None]
 
     return ImmersionSpec(
         ambient=AmbientSpace(1),
         charts=(chart,),
         position=position,
         differential=differential,
-        intrinsic=intrinsic,
+        intrinsic=_loop_intrinsic,
     )
 
 
@@ -74,27 +78,19 @@ def _figure_eight(n: int) -> ImmersionSpec:
     chart = BoxChart(id="loop", lo=(0.0,), hi=(1.0,), periodic=(True,))
 
     def position(chart_id: str, params: np.ndarray) -> np.ndarray:
-        t = params[0]
-        return np.array(
-            [0.5 * np.sin(4 * np.pi * t) + 1j * np.sin(2 * np.pi * t)]
-        )
+        t = params
+        return 0.5 * np.sin(4 * np.pi * t) + 1j * np.sin(2 * np.pi * t)
 
     def differential(chart_id: str, params: np.ndarray) -> np.ndarray:
-        t = params[0]
-        return np.array(
-            [[2 * np.pi * np.cos(4 * np.pi * t) + 2j * np.pi * np.cos(2 * np.pi * t)]]
-        )
-
-    def intrinsic(chart_id: str, params: np.ndarray) -> np.ndarray:
-        angle = 2.0 * np.pi * params[0]
-        return np.array([np.cos(angle), np.sin(angle)])
+        t = params[:, :, None]
+        return 2 * np.pi * np.cos(4 * np.pi * t) + 2j * np.pi * np.cos(2 * np.pi * t)
 
     return ImmersionSpec(
         ambient=AmbientSpace(1),
         charts=(chart,),
         position=position,
         differential=differential,
-        intrinsic=intrinsic,
+        intrinsic=_loop_intrinsic,
     )
 
 
@@ -104,19 +100,18 @@ def _cylinder(n: int) -> ImmersionSpec:
     )
 
     def position(chart_id: str, params: np.ndarray) -> np.ndarray:
-        t, s = params
-        return np.array([np.exp(2j * np.pi * t), s + 0j])
+        t, s = params[:, 0], params[:, 1]
+        return np.stack([np.exp(2j * np.pi * t), s + 0j], axis=1)
 
     def differential(chart_id: str, params: np.ndarray) -> np.ndarray:
-        t, _s = params
-        return np.array(
-            [[2j * np.pi * np.exp(2j * np.pi * t), 0.0], [0.0, 1.0]]
-        )
+        jac = np.zeros((len(params), 2, 2), dtype=complex)
+        jac[:, 0, 0] = 2j * np.pi * np.exp(2j * np.pi * params[:, 0])
+        jac[:, 1, 1] = 1.0
+        return jac
 
     def intrinsic(chart_id: str, params: np.ndarray) -> np.ndarray:
-        t, s = params
-        angle = 2.0 * np.pi * t
-        return np.array([np.cos(angle), np.sin(angle), s])
+        angle = 2.0 * np.pi * params[:, 0]
+        return np.stack([np.cos(angle), np.sin(angle), params[:, 1]], axis=1)
 
     return ImmersionSpec(
         ambient=AmbientSpace(2),

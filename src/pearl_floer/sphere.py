@@ -181,45 +181,44 @@ def sphere_immersion(n: int, seam: float = DEFAULT_SEAM) -> ImmersionSpec:
     def position(chart_id: str, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
         if chart_id == "annulus":
-            return sphere_curve(params[0]) * params[1:]
-        v = params
-        s = float(v @ v)
+            return sphere_curve(params[:, :1]) * params[:, 1:]
+        s = np.sum(params * params, axis=1)[:, None]
         if chart_id == "cap0":
-            return _g0(s) * v
+            return _g0(s) * params
         if chart_id == "cap1":
-            return _g1(s) * v
+            return _g1(s) * params
         raise KeyError(chart_id)
 
     def differential(chart_id: str, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
+        eye = np.eye(n)
         if chart_id == "annulus":
-            x = params[1:]
-            jac = np.empty((n, n + 1), dtype=complex)
-            jac[:, 0] = sphere_curve_derivative(params[0]) * x
-            jac[:, 1:] = sphere_curve(params[0]) * np.eye(n)
+            t, x = params[:, :1], params[:, 1:]
+            jac = np.empty((len(params), n, n + 1), dtype=complex)
+            jac[:, :, 0] = sphere_curve_derivative(t) * x
+            jac[:, :, 1:] = sphere_curve(t)[:, :, None] * eye
             return jac
         v = params
-        s = float(v @ v)
+        s = np.sum(v * v, axis=1)[:, None, None]
+        outer = v[:, :, None] * v[:, None, :]
         if chart_id == "cap0":
-            return _g0(s) * np.eye(n) + 2.0 * _g0_prime(s) * np.outer(v, v)
+            return _g0(s) * eye + 2.0 * _g0_prime(s) * outer
         if chart_id == "cap1":
-            return _g1(s) * np.eye(n) + 2.0 * _g1_prime(s) * np.outer(v, v)
+            return _g1(s) * eye + 2.0 * _g1_prime(s) * outer
         raise KeyError(chart_id)
 
     def intrinsic(chart_id: str, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
         if chart_id == "annulus":
-            t, x = params[0], params[1:]
-            return np.concatenate(
-                ([np.cos(np.pi * t)], np.sin(np.pi * t) * x)
-            )
+            t, x = params[:, :1], params[:, 1:]
+            return np.concatenate([np.cos(np.pi * t), np.sin(np.pi * t) * x], axis=1)
         v = params
-        rho2 = float(v @ v)
-        pole = np.sqrt(max(0.0, 1.0 - rho2 * rho2 / 4.0))
+        rho2 = np.sum(v * v, axis=1)[:, None]
+        pole = np.sqrt(np.maximum(0.0, 1.0 - rho2 * rho2 / 4.0))
         if chart_id == "cap0":
-            return np.concatenate(([pole], v * np.sqrt(rho2) / 2.0))
+            return np.concatenate([pole, v * np.sqrt(rho2) / 2.0], axis=1)
         if chart_id == "cap1":
-            return np.concatenate(([-pole], v * np.sqrt(rho2) / 2.0))
+            return np.concatenate([-pole, v * np.sqrt(rho2) / 2.0], axis=1)
         raise KeyError(chart_id)
 
     glue = []

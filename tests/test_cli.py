@@ -260,3 +260,14 @@ def test_verify_map_unknown_generator(capsys, tmp_path):
     code, _, err = run(capsys, "verify-map", str(path), str(path), str(mapping))
     assert code == 2
     assert "not a generator" in err
+
+
+def test_homology_rejects_nan_action(capsys, tmp_path):
+    path = tmp_path / "nan.fld"
+    path.write_text(
+        dumps_datum(sphere_datum(2)).replace('"action": 1.0', '"action": NaN'),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "homology", str(path))
+    assert code == 2
+    assert "non-finite" in err

@@ -157,3 +157,24 @@ def test_pattern_rejects_bad_structure(tmp_path):
     path.write_text("[{\"type\": \"strip\", \"ind_u\": 2}]", encoding="utf-8")
     pattern = load_pattern(path)
     assert pattern.pieces == (Strip(ind_u=2),)
+
+
+def test_loads_rejects_non_finite_numbers():
+    text = dumps_datum(sphere_datum(3))
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        bad = text.replace('"action": 1.0', f'"action": {literal}')
+        assert bad != text
+        with pytest.raises(FormatError, match="finite"):
+            loads_datum(bad)
+
+
+def test_dumps_refuses_non_finite_action():
+    datum = FloerDatum(
+        2,
+        (
+            Generator("p", "pair", 1, float("nan"), "q"),
+            Generator("q", "pair", 1, float("nan"), "p"),
+        ),
+    )
+    with pytest.raises(ValueError):
+        dumps_datum(datum)

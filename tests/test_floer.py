@@ -177,6 +177,23 @@ def test_zero_action_warning_in_report():
     assert any("action exactly 0" in w for w in report.warnings)
 
 
+def test_non_finite_action_is_a_violation():
+    # NaN actions slip past the partner-sum check (NaN > tol is False);
+    # without strips no differential entry touches the pair
+    datum = model_datum(3)
+    nan = float("nan")
+    datum = FloerDatum(
+        datum.ambient_dim,
+        tuple(
+            Generator(g.id, g.kind, g.degree, nan, g.partner) if g.kind == "pair" else g
+            for g in datum.generators
+        ),
+    )
+    report = validate_datum(datum)
+    assert not report.ok
+    assert sum("non-finite action" in v for v in report.violations) == 2
+
+
 # ---------------------------------------------------------------------------
 # assembly and cohomology
 

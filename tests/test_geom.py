@@ -111,6 +111,47 @@ def test_random_lagrangian_spans_pass(rng=np.random.default_rng(7)):
         assert np.max(np.abs(o.T @ o - np.eye(n))) < 1e-10
 
 
+def gram_schmidt_frame(columns: np.ndarray) -> np.ndarray:
+    """Reference: Gram-Schmidt for Re<.,.>, re-orthogonalised once."""
+    q = np.empty_like(columns)
+    for j in range(columns.shape[1]):
+        v = columns[:, j]
+        for _ in range(2):
+            for i in range(j):
+                v = v - np.real(np.vdot(q[:, i], v)) * q[:, i]
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
+def test_make_unitary_frame_stack_matches_single_frames_and_gram_schmidt():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 6):
+        stack = np.array([random_unitary(rng, n) @ rng.standard_normal((n, n)) for _ in range(9)])
+        frames = make_unitary_frame(stack)
+        assert frames.shape == (9, n, n)
+        for columns, frame in zip(stack, frames):
+            assert np.array_equal(make_unitary_frame(columns).columns, frame)
+            assert np.max(np.abs(frame - gram_schmidt_frame(columns))) < 1e-12
+
+
+def test_make_unitary_frame_stack_reports_first_failure():
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    e2 = np.array([0.0, 1.0], dtype=complex)
+    good = np.column_stack([e1, e2])
+    dependent = np.column_stack([e1 + e2, e1 + e2])
+    skew = np.column_stack([e1, 1j * e1])
+    stack = np.array([good, good, dependent, skew])
+    with pytest.raises(Degenerate) as info:
+        make_unitary_frame(stack)
+    assert info.value.index == 2
+    with pytest.raises(Degenerate) as single:
+        make_unitary_frame(dependent)
+    assert str(info.value) == str(single.value)
+    with pytest.raises(NotLagrangian) as info:
+        make_unitary_frame(stack[[0, 3, 2]])
+    assert info.value.index == 1
+
+
 # ---------------------------------------------------------------------------
 # Kahler angles
 

@@ -18,6 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pearl_floer import immersion
 from pearl_floer.floer import MorseData
 from pearl_floer.geom import AmbientSpace, NotLagrangian
 from pearl_floer.immersion import (
@@ -77,25 +78,50 @@ def test_box_chart_sample_counts_and_wrap_edge():
     chart = BoxChart(id="b", lo=(0.0, -1.0), hi=(1.0, 1.0), periodic=(True, False))
     pts = chart.sample_points(8)
     assert len(pts) == 8 * 9
-    edges = chart.sample_edges(8)
+    edges = [tuple(e) for e in chart.sample_edges(8).tolist()]
     index = {tuple(np.round(p, 12)): k for k, p in enumerate(pts)}
     a = index[(7.0 / 8.0, -1.0)]
     b = index[(0.0, -1.0)]
     assert (a, b) in edges or (b, a) in edges
 
 
+def test_box_chart_edges_match_loop_reference():
+    chart = BoxChart(
+        id="b", lo=(0.0, 0.0, -1.0), hi=(1.0, 2.0, 1.0), periodic=(True, False, True)
+    )
+    shape = (8, 9, 8)
+    expected = []
+    for flat in range(int(np.prod(shape))):
+        coords = np.unravel_index(flat, shape)
+        stride = 1
+        for k in reversed(range(3)):
+            if coords[k] + 1 < shape[k]:
+                expected.append((k, flat, flat + stride))
+            elif chart.periodic[k]:
+                expected.append((k, flat, flat - coords[k] * stride))
+            stride *= shape[k]
+    expected.sort(key=lambda edge: (edge[1], edge[0]))
+    edges = chart.sample_edges(8)
+    assert edges.tolist() == [[a, b] for _k, a, b in expected]
+
+
+def test_box_chart_displace_stays_below_the_periodic_end():
+    chart = BoxChart(id="b", lo=(0.0,), hi=(1.0,), periodic=(True,))
+    out = chart.displace(np.array([[0.0]]), np.array([[-1e-17]]))
+    assert 0.0 <= out[0, 0] < 1.0
+
+
 def test_box_chart_displace_wraps_periodic_axis():
     chart = BoxChart(id="b", lo=(0.0,), hi=(1.0,), periodic=(True,))
-    out = chart.displace(np.array([0.9]), np.array([0.3]))
-    assert out[0] == pytest.approx(0.2)
+    out = chart.displace(np.array([[0.9]]), np.array([[0.3]]))
+    assert out[0, 0] == pytest.approx(0.2)
 
 
 def test_box_chart_path_takes_shortest_wrap():
     chart = BoxChart(id="b", lo=(0.0,), hi=(1.0,), periodic=(True,))
-    at = chart.path(np.array([0.95]), np.array([0.05]))
-    mid, velocity = at(0.5)
-    assert mid[0] == pytest.approx(1.0)
-    assert velocity[0] == pytest.approx(0.1)
+    mid, velocity = chart.path(np.array([[0.95]]), np.array([[0.05]]), np.array([0.5]))
+    assert mid[0, 0, 0] == pytest.approx(1.0)
+    assert velocity[0, 0, 0] == pytest.approx(0.1)
 
 
 def test_suspension_displace_stays_on_sphere():
@@ -110,8 +136,8 @@ def test_suspension_displace_stays_on_sphere():
         x = rng.normal(size=3)
         x /= np.linalg.norm(x)
         params = np.concatenate(([0.3], x))
-        moved = chart.displace(params, rng.normal(scale=0.2, size=3))
-        assert np.linalg.norm(moved[1:]) == pytest.approx(1.0, abs=1e-12)
+        moved = chart.displace(params[None], rng.normal(scale=0.2, size=(1, 3)))
+        assert np.linalg.norm(moved[0, 1:]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_suspension_path_endpoints_and_velocity():
@@ -120,7 +146,10 @@ def test_suspension_path_endpoints_and_velocity():
     )
     pa = np.array([0.2, 1.0, 0.0])
     pb = np.array([0.6, 0.0, 1.0])
-    at = chart.path(pa, pb)
+    def at(tau):
+        params, velocity = chart.path(pa[None], pb[None], np.array([tau]))
+        return params[0, 0], velocity[0, 0]
+
     p0, _ = at(0.0)
     p1, _ = at(1.0)
     assert np.allclose(p0, pa, atol=1e-12)
@@ -138,7 +167,9 @@ def test_suspension_rejects_antipodal_geodesic():
         id="s", t_lo=0.0, t_hi=1.0, directions=((1.0, 0.0), (-1.0, 0.0))
     )
     with pytest.raises(PipelineError, match="antipodal"):
-        chart.path(np.array([0.1, 1.0, 0.0]), np.array([0.2, -1.0, 0.0]))
+        chart.path(
+            np.array([[0.1, 1.0, 0.0]]), np.array([[0.2, -1.0, 0.0]]), np.array([0.5])
+        )
 
 
 def test_spoke_chart_spokes_reach_boundary():
@@ -162,8 +193,8 @@ def test_flat_model_has_trivial_h_theta_and_no_double_points():
     mesh = sample_immersion(spec, 8)
     compute_primitive(mesh)
     compute_grading(mesh)
-    assert max(abs(s.h) for s in mesh.samples) < 1e-12
-    assert max(abs(s.theta) for s in mesh.samples) < 1e-12
+    assert np.max(np.abs(mesh.h)) < 1e-12
+    assert np.max(np.abs(mesh.theta)) < 1e-12
     assert mesh.exactness_residual < 1e-12
     assert find_double_points(mesh) == []
 
@@ -195,8 +226,8 @@ def test_finite_difference_jacobian_matches_analytic():
                 v = rng.normal(size=3)
                 v *= rng.uniform(0.1, 0.7) / np.linalg.norm(v)
                 params = v
-            exact = spec.jacobian(chart_id, params)
-            approx = fd_spec.jacobian(chart_id, params)
+            exact = spec.jacobian(chart_id, params[None])[0]
+            approx = fd_spec.jacobian(chart_id, params[None])[0]
             assert np.max(np.abs(exact - approx)) < 3e-7
 
 
@@ -204,8 +235,8 @@ def test_non_lagrangian_chart_reports_location():
     chart = BoxChart(id="band", lo=(0.0, 0.0), hi=(1.0, 1.0), periodic=(True, False))
 
     def position(chart_id, params):
-        t, s = params
-        return np.array([(1.0 + s) * np.exp(2j * np.pi * t), s + 0j])
+        t, s = params[:, 0], params[:, 1]
+        return np.stack([(1.0 + s) * np.exp(2j * np.pi * t), s + 0j], axis=1)
 
     spec = ImmersionSpec(ambient=AmbientSpace(2), charts=(chart,), position=position)
     with pytest.raises(NotLagrangian, match="band"):
@@ -260,8 +291,8 @@ def eight_run():
 
 def test_eight_h_matches_hand_integral(eight_run):
     mesh, _ = eight_run
-    for sample in mesh.samples:
-        assert sample.h == pytest.approx(eight_h(sample.params[0]), abs=1e-9)
+    for h, t in zip(mesh.h, mesh.params[:, 0]):
+        assert h == pytest.approx(eight_h(t), abs=1e-9)
     assert mesh.exactness_residual < 1e-10
 
 
@@ -269,10 +300,9 @@ def test_eight_theta_quarter_turn(eight_run):
     mesh, _ = eight_run
     # the tangent argument runs from pi/4 at t=0 to pi at t=1/4
     quarter = next(
-        s for s in mesh.samples if s.params[0] == pytest.approx(0.25, abs=1e-12)
+        k for k, t in enumerate(mesh.params[:, 0]) if t == pytest.approx(0.25, abs=1e-12)
     )
-    base = mesh.samples[0]
-    assert quarter.theta - base.theta == pytest.approx(0.75, abs=1e-6)
+    assert mesh.theta[quarter] - mesh.theta[0] == pytest.approx(0.75, abs=1e-6)
 
 
 def test_eight_single_double_point_at_origin(eight_run):
@@ -345,25 +375,43 @@ def test_eight_emit_datum(eight_run):
     assert datum.differential == ()
 
 
-def test_eight_thread_count_does_not_change_results(monkeypatch):
+def test_eight_results_are_deterministic_and_independent_of_block_size(monkeypatch):
     spec, _ = get_model("figure_eight")
 
     def run():
         mesh = sample_immersion(spec, 128)
         compute_primitive(mesh)
         compute_grading(mesh)
-        return find_double_points(mesh)
+        return mesh, find_double_points(mesh)
 
-    monkeypatch.delenv("PEARL_FLOER_THREADS", raising=False)
-    serial = run()
-    monkeypatch.setenv("PEARL_FLOER_THREADS", "4")
-    threaded = run()
-    assert len(serial) == len(threaded) == 2
-    for a, b in zip(serial, threaded):
-        assert a.p_id == b.p_id and a.q_id == b.q_id
-        assert a.action == b.action
-        assert a.index_raw == b.index_raw
-        assert a.p_params == b.p_params and a.q_params == b.q_params
+    runs = [run(), run()]
+    monkeypatch.setattr(immersion, "QUAD_BLOCK", 1)
+    runs.append(run())
+    reference_mesh, reference = runs[0]
+    assert len(reference) == 2
+    for mesh, records in runs[1:]:
+        assert np.array_equal(mesh.params, reference_mesh.params)
+        assert np.array_equal(mesh.h, reference_mesh.h)
+        assert np.array_equal(mesh.theta, reference_mesh.theta)
+        assert len(records) == len(reference)
+        for a, b in zip(reference, records):
+            assert a.p_id == b.p_id and a.q_id == b.q_id
+            assert a.action == b.action
+            assert a.index_raw == b.index_raw
+            assert a.p_params == b.p_params and a.q_params == b.q_params
+
+
+def test_batched_lstsq_matches_numpy_lstsq():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((6, 4, 4))
+    a[1, :, 3] = a[1, :, 0]  # rank 3
+    a[2] = 0.0  # rank 0
+    a[3, 3] = 1e-17 * a[3, 0]  # rank 3 under the cutoff
+    b = rng.standard_normal((6, 4))
+    x = immersion._lstsq(a, b)
+    for k in range(6):
+        expected, *_ = np.linalg.lstsq(a[k], b[k], rcond=None)
+        assert np.max(np.abs(x[k] - expected)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +425,10 @@ def test_triple_point_is_rejected():
     phases = {f"line{k}": np.exp(1j * np.pi * k / 3) for k in range(3)}
 
     def position(chart_id, params):
-        return np.array([phases[chart_id] * params[0]])
+        return phases[chart_id] * params
 
     def differential(chart_id, params):
-        return np.array([[phases[chart_id]]])
+        return np.full((len(params), 1, 1), phases[chart_id])
 
     spec = ImmersionSpec(
         ambient=AmbientSpace(1),
@@ -402,16 +450,16 @@ def test_tangential_crossing_is_rejected():
     )
 
     def position(chart_id, params):
-        t = params[0]
+        t = params
         if chart_id == "up":
-            return np.array([t + 1j * t * t])
-        return np.array([t - 1j * t * t])
+            return t + 1j * t * t
+        return t - 1j * t * t
 
     def differential(chart_id, params):
-        t = params[0]
+        t = params[:, :, None]
         if chart_id == "up":
-            return np.array([[1.0 + 2j * t]])
-        return np.array([[1.0 - 2j * t]])
+            return 1.0 + 2j * t
+        return 1.0 - 2j * t
 
     spec = ImmersionSpec(
         ambient=AmbientSpace(1),
