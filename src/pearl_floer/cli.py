@@ -20,11 +20,18 @@ format problems.
 
 All reports are deterministic: rows are sorted, floats print in shortest
 round-trip form, and repeated invocations produce byte-identical output.
+
+Layering: homology, spectral, audit and verify-map use only the numpy-free
+layers (gf2, floer, fileformat).  The mesh layer (geom, immersion, models,
+sphere) is imported when analyze or export first needs it, and its names
+are then bound in this module (see ``_load_mesh_layer``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import sys
 from typing import Any
@@ -48,7 +55,6 @@ from .floer import (
     rank_inequality_report,
     validate_datum,
 )
-from .geom import GeometryError
 from .gf2 import (
     DegreeViolation,
     GF2Error,
@@ -56,22 +62,71 @@ from .gf2 import (
     is_quasi_iso,
     verify_chain_map,
 )
-from .immersion import (
-    DEFAULT_RESOLUTION,
-    PipelineError,
-    TOL_EXACT,
-    TOL_INDEX,
-    compute_grading,
-    compute_primitive,
-    emit_datum,
-    find_double_points,
-    probe_frame_invariance,
-    sample_immersion,
-)
-from .models import MODEL_NAMES, get_model
-from .sphere import SPHERE_DATUM_NOTE, sphere_datum
 
 __all__ = ["main"]
+
+#: The parser's model choices and analyze defaults.  They equal
+#: ``models.MODEL_NAMES`` and the ``immersion`` constants of the same names
+#: (a test checks); they live here so that building the parser imports no
+#: mesh code.
+MODEL_NAMES = ("circle", "cylinder", "figure_eight", "flat", "sphere")
+DEFAULT_RESOLUTION = 64
+TOL_EXACT = 1e-8
+TOL_INDEX = 1e-4
+
+#: The mesh layer's names that analyze and export use, by home module.
+_MESH_LAYER_NAMES = {
+    "geom": ("GeometryError",),
+    "immersion": (
+        "PipelineError",
+        "compute_grading",
+        "compute_primitive",
+        "emit_datum",
+        "find_double_points",
+        "probe_frame_invariance",
+        "sample_immersion",
+    ),
+    "models": ("get_model",),
+    "sphere": ("SPHERE_DATUM_NOTE", "sphere_datum"),
+}
+
+
+def _load_mesh_layer() -> None:
+    """Import the mesh layer and bind its names in this module.
+
+    ``setdefault`` keeps a name that is already bound, so a caller that
+    rebinds, say, ``cli.sample_immersion`` (a tracer, a test) keeps its
+    wrapper.
+    """
+    namespace = globals()
+    for module, names in _MESH_LAYER_NAMES.items():
+        home = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve a mesh-layer name (``cli.get_model`` and so on) on first use."""
+    if any(name in names for names in _MESH_LAYER_NAMES.values()):
+        _load_mesh_layer()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _mesh_command(run):
+    """Run a subcommand that needs the mesh layer: load it first, and turn
+    its gate failures (PipelineError, GeometryError) into exit 1."""
+
+    @functools.wraps(run)
+    def command(args) -> int:
+        _load_mesh_layer()
+        try:
+            return run(args)
+        except (PipelineError, GeometryError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+
+    return command
 
 
 def _fmt(x: float) -> str:
@@ -137,6 +192,7 @@ def _run_pipeline(args):
     return spec, morse, mesh, records
 
 
+@_mesh_command
 def cmd_analyze(args) -> int:
     spec, morse, mesh, records = _run_pipeline(args)
     datum = emit_datum(mesh, records, morse)
@@ -219,6 +275,7 @@ def cmd_analyze(args) -> int:
     return code if ok else 1
 
 
+@_mesh_command
 def cmd_export(args) -> int:
     if args.model == "sphere":
         dim = args.dim if args.dim is not None else 2
@@ -241,15 +298,8 @@ def cmd_export(args) -> int:
 # homology / spectral
 
 
-def _validated(datum: FloerDatum) -> None:
-    report = validate_datum(datum)
-    if not report.ok:
-        raise ValidationFailed(report)
-
-
 def cmd_homology(args) -> int:
     datum = load_datum(args.file)
-    _validated(datum)
     ranks = floer_cohomology(datum)
     payload: dict[str, Any] = {
         "file": args.file,
@@ -275,7 +325,10 @@ def cmd_homology(args) -> int:
 
 def cmd_spectral(args) -> int:
     datum = load_datum(args.file)
-    _validated(datum)
+    # action_filtration builds the complex without validating it
+    validation = validate_datum(datum)
+    if not validation.ok:
+        raise ValidationFailed(validation)
     filtered = action_filtration(datum)
     report = rank_inequality_report(datum, r_max=args.pages)
     table = report.pages
@@ -374,11 +427,9 @@ def _load_map_entries(path: str) -> list[tuple[str, str]]:
 def cmd_verify_map(args) -> int:
     source = load_datum(args.source)
     target = load_datum(args.target)
-    _validated(source)
-    _validated(target)
-    entries = _load_map_entries(args.map)
     c1 = assemble_differential(source)
     c2 = assemble_differential(target)
+    entries = _load_map_entries(args.map)
     index1 = {g.id: k for k, g in enumerate(source.generators)}
     index2 = {g.id: k for k, g in enumerate(target.generators)}
     for src, dst in entries:
@@ -524,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in err.report.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 1
-    except (PipelineError, GeometryError, GF2Error, InconsistentPattern) as err:
+    except (GF2Error, InconsistentPattern) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

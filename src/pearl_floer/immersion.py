@@ -35,7 +35,10 @@ chart parameter vectors, shape (m, d), and answer for every row at once.
 
 Charts follow the same convention: ``sample_points`` returns an (m, d)
 array, ``sample_edges`` an (E, 2) index array, and ``path``, ``displace``,
-``local_basis`` and ``param_distance`` act on stacks.
+``local_basis`` and ``param_distance`` act on stacks.  ``sample_count``
+gives ``len(sample_points(resolution))`` by arithmetic, so that
+:func:`sample_immersion` can refuse a mesh above :data:`MAX_SAMPLES`
+before it allocates anything.
 
 Edge integrals use trapezoid sums at two dyadic subdivisions combined by
 one Richardson step, which keeps the loop-residual noise of smooth exact
@@ -46,6 +49,7 @@ points, which bounds the memory of the pass independently of the mesh.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import product
 from dataclasses import dataclass, field
@@ -72,6 +76,7 @@ from .geom import (
 __all__ = [
     "DEFAULT_RESOLUTION",
     "MIN_RESOLUTION",
+    "MAX_SAMPLES",
     "TOL_EXACT",
     "TOL_INDEX",
     "PipelineError",
@@ -99,6 +104,9 @@ __all__ = [
 DEFAULT_RESOLUTION = 64
 #: Below this the integration and continuation passes are not trustworthy.
 MIN_RESOLUTION = 8
+#: Most samples a mesh may have; the count grows as resolution^n, so the
+#: pipeline refuses a larger projected total (ValueError) before sampling.
+MAX_SAMPLES = 1_000_000
 #: Default bound on sigma-holonomy of mesh loops (exactness residual).
 TOL_EXACT = 1e-8
 #: Default bound on the raw-index residual at double points.
@@ -233,6 +241,9 @@ class BoxChart:
                 delta[..., k] -= width * np.round(delta[..., k] / width)
         return delta
 
+    def sample_count(self, resolution: int) -> int:
+        return math.prod(resolution if wrap else resolution + 1 for wrap in self._periodic())
+
     def sample_points(self, resolution: int) -> np.ndarray:
         grids = np.meshgrid(*self._axes(resolution), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
@@ -306,6 +317,9 @@ class SuspensionChart:
 
     def _t_values(self, resolution: int) -> np.ndarray:
         return np.linspace(self.t_lo, self.t_hi, resolution)
+
+    def sample_count(self, resolution: int) -> int:
+        return len(self.directions) * resolution
 
     def sample_points(self, resolution: int) -> np.ndarray:
         ts = self._t_values(resolution)
@@ -404,9 +418,16 @@ class SpokeBallChart:
     def dim(self) -> int:
         return len(self.directions[0])
 
+    @staticmethod
+    def _spoke_samples(resolution: int) -> int:
+        return max(4, resolution // 8)
+
     def _radii(self, resolution: int) -> np.ndarray:
-        m = max(4, resolution // 8)
+        m = self._spoke_samples(resolution)
         return np.linspace(0.0, self.radius, m + 1)[1:]
+
+    def sample_count(self, resolution: int) -> int:
+        return 1 + len(self.directions) * self._spoke_samples(resolution)
 
     def sample_points(self, resolution: int) -> np.ndarray:
         directions = np.asarray(self.directions, dtype=float)
@@ -545,6 +566,12 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
     if resolution < MIN_RESOLUTION:
         raise ValueError(
             f"resolution {resolution} below the supported minimum {MIN_RESOLUTION}"
+        )
+    projected = sum(chart.sample_count(resolution) for chart in spec.charts)
+    if projected > MAX_SAMPLES:
+        raise ValueError(
+            f"resolution {resolution} would take {projected} samples, above the"
+            f" limit of {MAX_SAMPLES}"
         )
     n = spec.ambient.n
     params, points, frames, intrinsic, edges = [], [], [], [], []
@@ -991,6 +1018,22 @@ def _distinct_preimages(
     return kept
 
 
+def _preimage_key(chart: Chart, params: np.ndarray) -> tuple:
+    """Sort key of a double point's preimage: chart id, then params rounded
+    to 1e-9.  A periodic coordinate is first reduced into [lo, hi), and one
+    less than that rounding step below hi is taken as lo, so a root just
+    below the seam sorts where a root on the seam does."""
+    step = 1e-9
+    p = np.array(params, dtype=float)
+    if isinstance(chart, BoxChart):
+        for k, wrap in enumerate(chart._periodic()):
+            if wrap:
+                lo, hi = chart.lo[k], chart.hi[k]
+                value = lo + (p[k] - lo) % (hi - lo)
+                p[k] = lo if hi - value < step else value
+    return chart.id, tuple(np.round(p, 9))
+
+
 def find_double_points(
     mesh: ImmersionMesh,
     refine_tol: float = 1e-9,
@@ -1129,8 +1172,7 @@ def find_double_points(
     records: list[DoublePointRecord] = []
     for k, group in enumerate(groups):
         preimages = sorted(
-            group["preimages"],
-            key=lambda pre: (charts[pre[0]].id, tuple(np.round(pre[1], 9))),
+            group["preimages"], key=lambda pre: _preimage_key(charts[pre[0]], pre[1])
         )
         if len(preimages) < 2:
             continue  # a diagonal artifact that survived; not a double point

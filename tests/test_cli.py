@@ -2,14 +2,35 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pearl_floer
+from pearl_floer import cli, floer, immersion, models
 from pearl_floer.cli import main
 from pearl_floer.fileformat import dumps_datum, load_datum, save_datum
 from pearl_floer.floer import FloerDatum, Generator
+from pearl_floer.immersion import BoxChart
 from pearl_floer.sphere import sphere_datum
+
+SRC = Path(pearl_floer.__file__).resolve().parents[1]
+ROOT = SRC.parent
+MESH_MODULES = tuple(f"pearl_floer.{name}" for name in ("geom", "immersion", "models", "sphere"))
+
+INVALID = FloerDatum(
+    ambient_dim=2,
+    generators=(Generator("p", "pair", 3, action=1.0, partner="p"),),
+    differential=(),
+)
+INVALID_STDERR = (
+    "datum validation failed:\n  - pair generator 'p' is partnered with itself\n"
+)
 
 
 def run(capsys, *argv):
@@ -137,18 +158,56 @@ def test_export_then_homology_round_trip(capsys, tmp_path):
 
 
 def test_homology_rejects_invalid_datum(capsys, tmp_path):
-    bad = FloerDatum(
-        ambient_dim=2,
-        generators=(
-            Generator("p", "pair", 3, action=1.0, partner="p"),
-        ),
-        differential=(),
-    )
     path = tmp_path / "bad.fld"
-    path.write_text(dumps_datum(bad), encoding="utf-8")
+    path.write_text(dumps_datum(INVALID), encoding="utf-8")
     code, _, err = run(capsys, "homology", str(path))
     assert code == 1
     assert "validation failed" in err
+
+
+def test_invalid_datum_errors_in_every_algebra_subcommand(capsys, tmp_path):
+    bad = tmp_path / "bad.fld"
+    bad.write_text(dumps_datum(INVALID), encoding="utf-8")
+    good = tmp_path / "s2.fld"
+    save_datum(sphere_datum(2), good)
+    broken_map = tmp_path / "broken.json"
+    broken_map.write_text("{", encoding="utf-8")
+    for argv in (
+        ("homology", str(bad)),
+        ("spectral", str(bad)),
+        # source, then target, then the map file
+        ("verify-map", str(bad), str(good), str(broken_map)),
+        ("verify-map", str(good), str(bad), str(broken_map)),
+    ):
+        assert run(capsys, *argv) == (1, "", INVALID_STDERR)
+    code, out, err = run(capsys, "verify-map", str(good), str(good), str(broken_map))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON:")
+
+
+def test_each_datum_is_validated_once(capsys, tmp_path, monkeypatch):
+    seen = []
+    original = floer.validate_datum
+
+    def counting(datum, *args, **kwargs):
+        seen.append(datum.ambient_dim)
+        return original(datum, *args, **kwargs)
+
+    monkeypatch.setattr(floer, "validate_datum", counting)
+    monkeypatch.setattr(cli, "validate_datum", counting)
+    s2, s3 = tmp_path / "s2.fld", tmp_path / "s3.fld"
+    save_datum(sphere_datum(2), s2)
+    save_datum(sphere_datum(3), s3)
+    zero_map = tmp_path / "zero.json"
+    zero_map.write_text("[]", encoding="utf-8")
+    for argv, expected in (
+        (("homology", str(s2)), [2]),
+        (("spectral", str(s2)), [2]),
+        (("verify-map", str(s2), str(s3), str(zero_map)), [2, 3]),
+    ):
+        seen.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert seen == expected, argv
 
 
 def test_homology_rejects_wrong_version(capsys, tmp_path):
@@ -271,3 +330,102 @@ def test_homology_rejects_nan_action(capsys, tmp_path):
     code, _, err = run(capsys, "homology", str(path))
     assert code == 2
     assert "non-finite" in err
+
+
+def test_analyze_refuses_a_mesh_above_the_sample_limit(capsys, monkeypatch):
+    def refuse(self, resolution):
+        raise AssertionError("sample_points called")
+
+    monkeypatch.setattr(BoxChart, "sample_points", refuse)
+    code, out, err = run(
+        capsys, "analyze", "--model", "flat", "--dim", "6", "--resolution", "1024"
+    )
+    assert (code, out) == (2, "")
+    assert f"{1025**6} samples" in err
+
+
+# ---------------------------------------------------------------------------
+# layering: the algebra subcommands never load the mesh layer
+
+
+def test_algebra_subcommands_load_neither_numpy_nor_mesh_code(tmp_path):
+    datum = tmp_path / "pair.fld"
+    datum.write_text(
+        dumps_datum(
+            FloerDatum(
+                ambient_dim=2,
+                generators=(Generator("a", "crit", 0), Generator("b", "crit", 2)),
+                differential=(),
+            )
+        ),
+        encoding="utf-8",
+    )
+    identity = tmp_path / "id.json"
+    identity.write_text(json.dumps([{"from": g, "to": g} for g in "ab"]), encoding="utf-8")
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps([{"type": "strip", "ind_u": 1, "jumps": 1}]), encoding="utf-8")
+    argvs = [
+        ["homology", str(datum)],
+        ["spectral", str(datum), "--format", "json"],
+        ["verify-map", str(datum), str(datum), str(identity)],
+        ["audit", str(pattern), "--dim", "2"],
+    ]
+    script = f"""
+import contextlib, io, json, sys
+from pearl_floer.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {argvs!r}]
+loaded = sorted(m for m in sys.modules if m == "numpy" or m in {MESH_MODULES!r})
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def _tracer_spans():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANS
+
+
+def test_traced_cli_names_resolve_to_their_home_objects():
+    names = {"get_model"} | {
+        location.partition(":")[2]
+        for locations in _tracer_spans().values()
+        for location in locations
+        if location.startswith("pearl_floer.cli:")
+    }
+    assert {"sample_immersion", "probe_frame_invariance", "load_datum"} <= names
+    for name in sorted(names):
+        value = getattr(cli, name)
+        assert value.__module__ != cli.__name__, name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_rebound_mesh_name_is_used_by_analyze(capsys, monkeypatch):
+    calls = []
+    original = cli.sample_immersion
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_immersion", counting)
+    code, _, _ = run(capsys, "analyze", "--model", "flat", "--resolution", "8")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_parser_defaults_match_the_mesh_layer():
+    assert cli.MODEL_NAMES == models.MODEL_NAMES
+    assert cli.DEFAULT_RESOLUTION == immersion.DEFAULT_RESOLUTION
+    assert cli.TOL_EXACT == immersion.TOL_EXACT
+    assert cli.TOL_INDEX == immersion.TOL_INDEX

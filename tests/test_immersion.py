@@ -172,6 +172,35 @@ def test_suspension_rejects_antipodal_geodesic():
         )
 
 
+@pytest.mark.parametrize(
+    "chart",
+    [
+        BoxChart(id="b", lo=(0.0, -1.0, 0.0), hi=(1.0, 1.0, 2.0), periodic=(True, False, True)),
+        BoxChart(id="f", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+        SuspensionChart(
+            id="s", t_lo=0.1, t_hi=0.9, directions=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+        ),
+        SpokeBallChart(id="c", radius=0.5, directions=((1.0, 0.0), (0.0, 1.0))),
+    ],
+    ids=lambda chart: type(chart).__name__,
+)
+def test_sample_count_matches_sample_points(chart):
+    for resolution in (8, 9, 16, 33, 64):
+        assert chart.sample_count(resolution) == len(chart.sample_points(resolution))
+
+
+def test_sample_limit_is_checked_before_sampling(monkeypatch):
+    spec, _ = get_model("flat", 4)
+
+    def refuse(self, resolution):
+        raise AssertionError("sample_points called")
+
+    monkeypatch.setattr(BoxChart, "sample_points", refuse)
+    monkeypatch.setattr(immersion, "MAX_SAMPLES", 17**4 - 1)
+    with pytest.raises(ValueError, match=f"{17**4} samples"):
+        sample_immersion(spec, 16)
+
+
 def test_spoke_chart_spokes_reach_boundary():
     chart = SpokeBallChart(id="c", radius=0.5, directions=((1.0, 0.0), (0.0, 1.0)))
     pts = chart.sample_points(64)
@@ -373,6 +402,27 @@ def test_eight_emit_datum(eight_run):
     assert by_id["dp0ab"].action == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert by_id["dp0ba"].degree == -1
     assert datum.differential == ()
+
+
+def test_eight_preimage_just_below_the_seam_keeps_its_id():
+    # shifted by 1e-10, the figure-eight's t = 0 preimage becomes a Newton
+    # root at t = 1 - 1e-10; it must still be dp0a, as on the seam
+    shift = 1e-10
+    spec, morse = get_model("figure_eight")
+    shifted = dataclasses.replace(
+        spec,
+        position=lambda chart_id, P: spec.position(chart_id, P + shift),
+        differential=lambda chart_id, P: spec.differential(chart_id, P + shift),
+        intrinsic=lambda chart_id, P: spec.intrinsic(chart_id, P + shift),
+    )
+    mesh, records = run_pipeline(shifted, 128)
+    first = records[0]
+    assert (first.p_id, first.q_id) == ("dp0a", "dp0b")
+    assert first.p_params[0] == pytest.approx(1.0 - shift, abs=1e-12)
+    assert first.q_params[0] == pytest.approx(0.5 - shift, abs=1e-12)
+    assert first.index == 2
+    by_id = {g.id: g for g in emit_datum(mesh, records, morse).generators}
+    assert (by_id["dp0ab"].degree, by_id["dp0ba"].degree) == (2, -1)
 
 
 def test_eight_results_are_deterministic_and_independent_of_block_size(monkeypatch):
