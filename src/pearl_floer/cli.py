@@ -47,7 +47,7 @@ from .floer import (
     FloerDatum,
     InconsistentPattern,
     ValidationFailed,
-    action_filtration,
+    action_filtration,  # uncalled; perfbench/spans.py wraps cli.action_filtration
     assemble_differential,
     audit_pattern,
     check_positivity,
@@ -325,17 +325,16 @@ def cmd_homology(args) -> int:
 
 def cmd_spectral(args) -> int:
     datum = load_datum(args.file)
-    # action_filtration builds the complex without validating it
+    # rank_inequality_report builds the filtration without validating it
     validation = validate_datum(datum)
     if not validation.ok:
         raise ValidationFailed(validation)
-    filtered = action_filtration(datum)
     report = rank_inequality_report(datum, r_max=args.pages)
     table = report.pages
     payload: dict[str, Any] = {
         "file": args.file,
         "ambient_dim": datum.ambient_dim,
-        "max_level": filtered.max_level,
+        "max_level": table.max_level,
         "stable_page": table.r_stable,
         "pages": [
             {f"{p},{q}": rank for (p, q), rank in sorted(page.items()) if rank}
@@ -353,7 +352,7 @@ def cmd_spectral(args) -> int:
     }
     lines = [
         f"file: {args.file}",
-        f"filtration levels: 0..{filtered.max_level}",
+        f"filtration levels: 0..{table.max_level}",
         f"stable page: r = {table.r_stable}",
     ]
     for r, page in enumerate(table.pages):

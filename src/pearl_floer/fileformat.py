@@ -33,22 +33,17 @@ types, non-finite numbers such as ``NaN`` or ``Infinity``) raise
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args
 
 from .floer import (
-    BoundaryPearl,
     DegenerationPattern,
+    DegenerationPiece,
     FloerDatum,
     Generator,
-    GhostStrip,
-    MaxToPearl,
-    MorseEdge,
-    PearlToMin,
-    Splice,
-    Strip,
 )
 
 __all__ = [
@@ -211,15 +206,7 @@ def load_datum(path: str | Path) -> FloerDatum:
 # ---------------------------------------------------------------------------
 # degeneration pattern files
 
-_PIECE_TYPES = {
-    "morse": (MorseEdge, {"drop"}),
-    "strip": (Strip, {"ind_u", "jumps"}),
-    "ghost": (GhostStrip, {"ind_pq", "n"}),
-    "splice": (Splice, {"ind_out", "ind_in_complement"}),
-    "boundary_pearl": (BoundaryPearl, set()),
-    "pearl_to_min": (PearlToMin, {"jumps"}),
-    "max_to_pearl": (MaxToPearl, {"jumps"}),
-}
+_PIECE_TYPES = {cls.tag: cls for cls in get_args(DegenerationPiece)}
 
 
 def pattern_from_list(data: Any) -> DegenerationPattern:
@@ -237,14 +224,23 @@ def pattern_from_list(data: Any) -> DegenerationPattern:
                 f"{where}: unknown piece type {tag!r}"
                 f" (expected one of {sorted(_PIECE_TYPES)})"
             )
-        cls, fields = _PIECE_TYPES[tag]
-        extra = set(raw) - fields - {"type"}
+        cls = _PIECE_TYPES[tag]
+        fields = dataclasses.fields(cls)
+        extra = set(raw) - {f.name for f in fields} - {"type"}
         if extra:
             raise FormatError(f"unknown keys in {where}: {sorted(extra)}")
-        kwargs = {}
-        for name in fields:
-            if name in raw:
-                kwargs[name] = _require_int(raw[name], f"{where}.{name}")
+        missing = [
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.name not in raw
+        ]
+        if missing:
+            raise FormatError(f"missing keys in {where}: {missing}")
+        kwargs = {
+            f.name: _require_int(raw[f.name], f"{where}.{f.name}")
+            for f in fields
+            if f.name in raw
+        }
         pieces.append(cls(**kwargs))
     return DegenerationPattern(pieces=tuple(pieces))
 

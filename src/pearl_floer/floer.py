@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .gf2 import (
     FilteredComplex,
@@ -362,12 +362,16 @@ def strip_energy(
 class MorseEdge:
     """A gradient edge between criticals; generic index drop >= 1."""
 
+    tag: ClassVar[str] = "morse"
+
     drop: int = 1
 
 
 @dataclass(frozen=True)
 class Strip:
     """A non-constant strip of index ind_u with ``jumps`` extra branch jumps."""
+
+    tag: ClassVar[str] = "strip"
 
     ind_u: int
     jumps: int = 0
@@ -377,13 +381,18 @@ class Strip:
 class GhostStrip:
     """A constant strip at an ordered double point of index ind_pq."""
 
+    tag: ClassVar[str] = "ghost"
+
     ind_pq: int
-    n: int | None = None  # optional redundant copy of the ambient dimension
+    # optional redundant copy of the ambient dimension, left out of the audit text
+    n: int | None = field(default=None, metadata={"described": False})
 
 
 @dataclass(frozen=True)
 class Splice:
     """Two pearly pieces spliced through a double point couple."""
+
+    tag: ClassVar[str] = "splice"
 
     ind_out: int | None = None
     ind_in_complement: int | None = None
@@ -393,10 +402,14 @@ class Splice:
 class BoundaryPearl:
     """A pearl breaking off at the boundary (type-(e) configuration)."""
 
+    tag: ClassVar[str] = "boundary_pearl"
+
 
 @dataclass(frozen=True)
 class PearlToMin:
     """A jumped pearl sliding into the minimum; needs >= 1 branch jump."""
+
+    tag: ClassVar[str] = "pearl_to_min"
 
     jumps: int = 1
 
@@ -404,6 +417,8 @@ class PearlToMin:
 @dataclass(frozen=True)
 class MaxToPearl:
     """A jumped pearl emitted from the maximum; needs >= 1 branch jump."""
+
+    tag: ClassVar[str] = "max_to_pearl"
 
     jumps: int = 1
 
@@ -503,24 +518,16 @@ class AuditReport:
 
 
 def _describe_piece(piece: DegenerationPiece) -> str:
-    if isinstance(piece, MorseEdge):
-        return f"morse(drop={piece.drop})"
-    if isinstance(piece, Strip):
-        return f"strip(ind_u={piece.ind_u}, jumps={piece.jumps})"
-    if isinstance(piece, GhostStrip):
-        return f"ghost(ind_pq={piece.ind_pq})"
-    if isinstance(piece, Splice):
-        return (
-            f"splice(ind_out={piece.ind_out},"
-            f" ind_in_complement={piece.ind_in_complement})"
-        )
-    if isinstance(piece, BoundaryPearl):
-        return "boundary_pearl"
-    if isinstance(piece, PearlToMin):
-        return f"pearl_to_min(jumps={piece.jumps})"
-    if isinstance(piece, MaxToPearl):
-        return f"max_to_pearl(jumps={piece.jumps})"
-    return repr(piece)
+    """``tag(field=value, ...)`` over the piece's fields, or the bare tag."""
+    tag = getattr(piece, "tag", None)
+    if tag is None:
+        return repr(piece)
+    shown = [
+        f"{f.name}={getattr(piece, f.name)}"
+        for f in fields(piece)
+        if f.metadata.get("described", True)
+    ]
+    return f"{tag}({', '.join(shown)})" if shown else tag
 
 
 def audit_pattern(pattern: DegenerationPattern, n: int) -> AuditReport:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .floer import MorseData
+from .floer import MorseData, two_point_morse
 from .geom import AmbientSpace
 from .immersion import BoxChart, ImmersionSpec
-from .sphere import sphere_immersion, sphere_morse
+from .sphere import sphere_immersion
 
-__all__ = ["MODEL_NAMES", "get_model", "default_dimension"]
+__all__ = ["MODEL_NAMES", "get_model"]
 
 
 def _flat(n: int) -> ImmersionSpec:
@@ -133,14 +133,6 @@ _BUILDERS = {
 MODEL_NAMES = tuple(sorted(_BUILDERS))
 
 
-def default_dimension(name: str) -> int:
-    """Natural ambient dimension used when the caller gives none."""
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown model '{name}' (available: {', '.join(MODEL_NAMES)})")
-    fixed = _BUILDERS[name][1]
-    return fixed if fixed is not None else 2
-
-
 def get_model(name: str, dim: int | None = None) -> tuple[ImmersionSpec, MorseData]:
     """Build a named model at the requested ambient dimension."""
     if name not in _BUILDERS:
@@ -153,5 +145,5 @@ def get_model(name: str, dim: int | None = None) -> tuple[ImmersionSpec, MorseDa
     if dim < 1:
         raise ValueError("ambient dimension must be at least 1")
     spec = builder(dim)
-    morse = sphere_morse(dim) if name == "sphere" else MorseData(criticals=())
+    morse = two_point_morse(dim) if name == "sphere" else MorseData(criticals=())
     return spec, morse

@@ -19,7 +19,7 @@ and -1.  The chart atlas avoids the parameter singularities at the poles by
 capping the suspension annulus with two ball charts v |-> g(|v|^2) v where
 g(s) = exp(i(pi/4 + arcsin(s/2)/2)) (and its mirror for the far cap).
 
-:func:`disc_family` gives the one-parameter family of holomorphic discs
+:class:`DiscFamily` gives the one-parameter family of holomorphic discs
 u(z) = x * sqrt(phi(z) - 1) through the double point (phi a Mobius
 automorphism of the unit disc); their boundary primitive integral equals
 the positive double-point action, +1, for every member of the family.
@@ -36,7 +36,7 @@ import warnings
 
 import numpy as np
 
-from .floer import FloerDatum, Generator, MorseData, two_point_morse
+from .floer import FloerDatum, Generator
 from .geom import AmbientSpace, LagrangianFrame
 from .immersion import ImmersionSpec, SpokeBallChart, SuspensionChart
 
@@ -51,7 +51,7 @@ __all__ = [
     "sphere_datum",
     "quadratic_potential",
     "fiber_parameter",
-    "disc_family",
+    "DiscFamily",
 ]
 
 #: Shown by reporting tools next to datum output for this model.
@@ -264,11 +264,6 @@ def sphere_datum(n: int) -> FloerDatum:
     return FloerDatum(ambient_dim=n, generators=generators, differential=differential)
 
 
-def sphere_morse(n: int) -> MorseData:
-    """Height-function Morse data of the model sphere (no net trajectories)."""
-    return two_point_morse(n)
-
-
 # ---------------------------------------------------------------------------
 # holomorphic discs through the double point
 
@@ -348,8 +343,3 @@ class DiscFamily:
         f[-1] = 0.0
         h = 2.0 * np.pi / num_points
         return float(h * (f[0] / 2 + f[1:-1].sum() + f[-1] / 2))
-
-
-def disc_family(x: np.ndarray, a: complex = 0.0, beta: float = 0.0) -> DiscFamily:
-    """Disc through the double point with boundary on the immersed sphere."""
-    return DiscFamily(x, a, beta)

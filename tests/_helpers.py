@@ -161,6 +161,89 @@ def brute_cohomology(cx: GradedComplex) -> dict[int, int]:
     return {k: ker[k] - img.get(k - 1, 0) for k in by_degree}
 
 
+def _span_dim(vectors) -> int:
+    basis: dict[int, int] = {}  # lowest set bit -> reduced vector
+    for v in vectors:
+        while v:
+            low = v & -v
+            if low not in basis:
+                basis[low] = v
+                break
+            v ^= basis[low]
+    return len(basis)
+
+
+def _kernel_combos(columns: list[int]) -> list[int]:
+    """Basis of the kernel of ``lambda -> XOR of columns[j] over bits j``."""
+    basis: dict[int, tuple[int, int]] = {}  # lowest set bit -> (col, combo)
+    kernel: list[int] = []
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = (col, combo)
+                break
+            bcol, bcombo = basis[low]
+            col ^= bcol
+            combo ^= bcombo
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def brute_pages(fc: FilteredComplex, r_top: int) -> list[dict[tuple[int, int], int]]:
+    """Pages E_0 .. E_r_top from the approximate-cycle spaces (oracle).
+
+        Z_r(p, q) = { x in G^p C^{p+q} : d x in G^{p+r} C^{p+q+1} },
+        rank E_r(p, q) = dim Z_r(p, q)
+                         - dim( Z_{r-1}(p+1, q-1) + d Z_{r-1}(p-r+1, q+r-2) ),
+
+    with ``G^a`` the whole complex for a <= 0 and zero beyond the maximal
+    level.  Shares no code with the pairing reduction of ``spectral_pages``.
+    """
+    cx = fc.complex
+    n = len(cx)
+    levels, degrees = fc.levels, cx.degrees
+    columns = [cx.differential.column(j) for j in range(n)]
+
+    def d_apply(vec: int) -> int:
+        out = 0
+        while vec:
+            low = vec & -vec
+            out ^= columns[low.bit_length() - 1]
+            vec ^= low
+        return out
+
+    def z_space(p: int, r: int, ndeg: int) -> list[int]:
+        dom = [j for j in range(n) if degrees[j] == ndeg and levels[j] >= p]
+        bad = sum(
+            1 << i for i in range(n) if degrees[i] == ndeg + 1 and levels[i] < p + r
+        )
+        vectors = []
+        for combo in _kernel_combos([columns[j] & bad for j in dom]):
+            vectors.append(sum(1 << dom[k] for k in range(len(dom)) if combo >> k & 1))
+        return vectors
+
+    pages = []
+    for r in range(r_top + 1):
+        page: dict[tuple[int, int], int] = {}
+        for ndeg in sorted(set(degrees)):
+            for p in range(fc.max_level + 1):
+                if r == 0:
+                    rank = sum(
+                        1 for j in range(n) if degrees[j] == ndeg and levels[j] == p
+                    )
+                else:
+                    den = z_space(p + 1, r - 1, ndeg)
+                    den += [d_apply(v) for v in z_space(p - r + 1, r - 1, ndeg - 1)]
+                    rank = len(z_space(p, r, ndeg)) - _span_dim(den)
+                if rank:
+                    page[(p, ndeg - p)] = rank
+        pages.append(page)
+    return pages
+
+
 def random_valid_datum(rng: np.random.Generator, max_gens: int = 40) -> "FloerDatum":
     """A random datum satisfying every validation invariant, with d^2 = 0."""
     from pearl_floer.floer import FloerDatum, Generator

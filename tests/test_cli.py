@@ -242,6 +242,30 @@ def test_spectral_pages_and_inequality(capsys, tmp_path):
     assert len(payload["pages"][1]) == 4
 
 
+def test_spectral_warns_once_per_zero_action_pair(capsys, tmp_path, recwarn):
+    datum = FloerDatum(
+        ambient_dim=2,
+        generators=(
+            Generator("c", "crit", 0),
+            Generator("za", "pair", 1, action=0.0, partner="zb"),
+            Generator("zb", "pair", 1, action=0.0, partner="za"),
+        ),
+        differential=(),
+    )
+    path = tmp_path / "zero.fld"
+    save_datum(datum, path)
+    code, _, _ = run(capsys, "spectral", str(path))
+    assert code == 0
+    messages = [
+        str(w.message) for w in recwarn if w.category is floer.ZeroActionPairWarning
+    ]
+    assert messages == [
+        f"pair generator '{g}' has action exactly 0; filing it with the"
+        " non-negative-action side of the filtration"
+        for g in ("za", "zb")
+    ]
+
+
 def test_audit_reports_totals_and_exclusions(capsys, tmp_path):
     path = tmp_path / "pattern.json"
     path.write_text(

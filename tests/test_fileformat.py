@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -19,6 +23,7 @@ from pearl_floer.fileformat import (
 )
 from pearl_floer.floer import (
     BoundaryPearl,
+    DegenerationPiece,
     FloerDatum,
     Generator,
     GhostStrip,
@@ -157,6 +162,27 @@ def test_pattern_rejects_bad_structure(tmp_path):
     path.write_text("[{\"type\": \"strip\", \"ind_u\": 2}]", encoding="utf-8")
     pattern = load_pattern(path)
     assert pattern.pieces == (Strip(ind_u=2),)
+
+
+def test_pattern_missing_required_field_is_a_format_error():
+    with pytest.raises(FormatError, match=r"missing keys in pieces\[1\]: \['ind_u'\]"):
+        pattern_from_list([{"type": "morse"}, {"type": "strip", "jumps": 1}])
+    with pytest.raises(FormatError, match="missing keys"):
+        pattern_from_list([{"type": "ghost", "n": 4}])
+
+
+def test_readme_names_every_piece_tag_and_field():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme.read_text(encoding="utf-8")
+    line = re.search(r"Piece types: (.*?)\.\s", readme, re.S).group(1)
+    named = {
+        tag: {name.strip().rstrip("?") for name in names.split(",")} if names else set()
+        for tag, names in re.findall(r"`(\w+)(?: \{([^}]*)\})?`", line)
+    }
+    assert named == {
+        cls.tag: {f.name for f in dataclasses.fields(cls)}
+        for cls in get_args(DegenerationPiece)
+    }
 
 
 def test_loads_rejects_non_finite_numbers():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from pearl_floer.floer import action_filtration
 from pearl_floer.gf2 import (
     DegreeViolation,
     FilteredComplex,
@@ -17,18 +20,18 @@ from pearl_floer.gf2 import (
     gf2_rank,
     is_quasi_iso,
     mapping_cone,
-    nullspace_of_columns,
-    span_basis,
     spectral_pages,
     verify_chain_map,
 )
 
 from _helpers import (
     brute_cohomology,
+    brute_pages,
     quasi_iso_pair,
     random_filtered_complex,
     random_gf2_matrix,
     random_graded_complex,
+    random_valid_datum,
     span_size,
     to_numpy,
 )
@@ -102,15 +105,6 @@ def test_rank_equals_transpose_rank():
         r, c = (int(x) for x in rng.integers(1, 12, 2))
         m = random_gf2_matrix(rng, r, c)
         assert m.rank() == m.transpose().rank()
-
-
-def test_span_basis_and_nullspace():
-    basis = span_basis([0b110, 0b011, 0b101, 0b110])
-    assert len(basis) == 2
-    # kernel of columns: c0 + c1 + c2 = 0 here
-    kernel = nullspace_of_columns([0b1, 0b10, 0b11])
-    assert kernel == [0b111]
-    assert nullspace_of_columns([0b1, 0b10]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +318,17 @@ def test_r_max_extension():
     assert len(table.pages) == fc.max_level + 5
     for key, rank in table.pages[-1].items():
         assert table.e_inf_rank(*key) == rank
+
+
+def test_pages_match_the_approximate_cycle_oracle():
+    rng = np.random.default_rng(16)
+    filtered = [random_filtered_complex(rng) for _ in range(300)]
+    filtered += [action_filtration(random_valid_datum(rng)) for _ in range(50)]
+    start = time.perf_counter()
+    for fc in filtered:
+        r_top = fc.max_level + 3
+        table = spectral_pages(fc, r_max=r_top)
+        assert list(table.pages) == brute_pages(fc, r_top)
+        assert table.e_inf == table.pages[fc.max_level + 1]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"

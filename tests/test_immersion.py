@@ -38,7 +38,7 @@ from pearl_floer.immersion import (
     sample_immersion,
     tangent_basis,
 )
-from pearl_floer.models import default_dimension, get_model
+from pearl_floer.models import get_model
 from pearl_floer.sphere import sphere_immersion
 
 
@@ -533,8 +533,8 @@ def test_model_registry_validates_names_and_dimensions():
         get_model("torus")
     with pytest.raises(ValueError, match="fixed ambient dimension"):
         get_model("circle", 2)
-    assert default_dimension("circle") == 1
-    assert default_dimension("sphere") == 2
+    assert get_model("circle")[0].ambient.n == 1
+    assert get_model("sphere")[0].ambient.n == 2
     spec, morse = get_model("sphere", 3)
     assert spec.ambient.n == 3
     assert [c[0] for c in morse.criticals] == ["min", "max"]

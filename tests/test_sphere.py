@@ -16,6 +16,7 @@ from pearl_floer.floer import (
     check_positivity,
     floer_cohomology,
     rank_inequality_report,
+    two_point_morse,
     validate_datum,
 )
 from pearl_floer.geom import kahler_angles
@@ -28,7 +29,7 @@ from pearl_floer.immersion import (
 )
 from pearl_floer.sphere import (
     DEFAULT_SEAM,
-    disc_family,
+    DiscFamily,
     fiber_parameter,
     quadratic_potential,
     sphere_branch_frames,
@@ -37,7 +38,6 @@ from pearl_floer.sphere import (
     sphere_datum,
     sphere_h,
     sphere_immersion,
-    sphere_morse,
     sphere_theta,
 )
 
@@ -155,7 +155,7 @@ def test_pipeline_n4_indices():
 
 def test_emitted_datum_matches_closed_form_generators(pipeline_n2):
     mesh, records = pipeline_n2
-    datum = emit_datum(mesh, records, sphere_morse(2))
+    datum = emit_datum(mesh, records, two_point_morse(2))
     closed = sphere_datum(2)
     emitted = {g.id: (g.kind, g.degree) for g in datum.generators}
     expected = {g.id: (g.kind, g.degree) for g in closed.generators}
@@ -210,7 +210,7 @@ def test_disc_corner_maps_to_double_point():
         n = int(rng.integers(2, 5))
         x = rng.normal(size=n)
         a = (rng.uniform(0, 0.8) * np.exp(2j * np.pi * rng.uniform())).item()
-        disc = disc_family(x, a=a, beta=rng.uniform(0, 2 * np.pi))
+        disc = DiscFamily(x, a=a, beta=rng.uniform(0, 2 * np.pi))
         corner = disc.corner
         assert abs(abs(corner) - 1.0) < 1e-12
         assert np.linalg.norm(disc.map(corner)) < 1e-7
@@ -218,7 +218,7 @@ def test_disc_corner_maps_to_double_point():
 
 def test_disc_boundary_lies_on_sphere_image():
     rng = np.random.default_rng(42)
-    disc = disc_family(
+    disc = DiscFamily(
         rng.normal(size=3), a=0.3 + 0.2j, beta=1.1
     )
     for s in rng.uniform(0.05, 2 * np.pi - 0.05, size=25):
@@ -237,12 +237,12 @@ def test_disc_boundary_action_is_plus_one():
         for _ in range(2):
             x = rng.normal(size=n)
             a = (rng.uniform(0, 0.7) * np.exp(2j * np.pi * rng.uniform())).item()
-            disc = disc_family(x, a=a, beta=rng.uniform(0, 2 * np.pi))
+            disc = DiscFamily(x, a=a, beta=rng.uniform(0, 2 * np.pi))
             assert disc.boundary_action() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_disc_input_validation():
     with pytest.raises(ValueError, match="unit disc"):
-        disc_family(np.array([1.0, 0.0]), a=1.2)
+        DiscFamily(np.array([1.0, 0.0]), a=1.2)
     with pytest.raises(ValueError, match="nonzero"):
-        disc_family(np.array([0.0, 0.0]))
+        DiscFamily(np.array([0.0, 0.0]))
