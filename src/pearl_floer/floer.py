@@ -289,7 +289,12 @@ def assemble_differential(datum: FloerDatum) -> GradedComplex:
 
 
 def floer_cohomology(datum: FloerDatum) -> dict[int, int]:
-    """Cohomology ranks per degree; NotAComplex if d^2 != 0."""
+    """Cohomology ranks per degree; NotAComplex if d^2 != 0.
+
+    A rank is the number of unpaired generators of that degree under the
+    pairing reduction of :mod:`pearl_floer.gf2`; every degree that has
+    generators is a key, zeros included.
+    """
     return assemble_differential(datum).cohomology_ranks()
 
 
@@ -593,9 +598,19 @@ class RankInequalityReport:
 def rank_inequality_report(
     datum: FloerDatum, r_max: int | None = None
 ) -> RankInequalityReport:
-    """Count pair generators against the Morse-block and total cohomologies."""
+    """Count pair generators against the Morse-block and total cohomologies.
+
+    The spectral pages of the action filtration come from one pairing
+    reduction, after one d^2 = 0 check.  The Floer ranks are E_inf summed by
+    total degree, which equals the cohomology, with a zero for every degree
+    that has generators.  Raises ``FiltrationViolated`` before
+    ``NotAComplex``.
+    """
     fc = action_filtration(datum)
-    floer_ranks = fc.complex.cohomology_ranks()
+    pages = spectral_pages(fc, r_max)
+    floer_ranks = dict.fromkeys(fc.complex.degree_indices(), 0)
+    for (p, q), rank in pages.e_inf.items():
+        floer_ranks[p + q] += rank
     crits = datum.criticals()
     crit_ids = {g.id for g in crits}
     crit_index = {g.id: i for i, g in enumerate(crits)}
@@ -618,7 +633,7 @@ def rank_inequality_report(
         sum_betti=sum_betti,
         sum_HF=sum_hf,
         inequality_holds=card_r >= sum_betti - sum_hf,
-        pages=spectral_pages(fc, r_max),
+        pages=pages,
         morse_ranks=morse_ranks,
         floer_ranks=floer_ranks,
     )

@@ -71,8 +71,30 @@ def to_numpy(m: GF2Matrix) -> np.ndarray:
     return np.array(m.to_dense(), dtype=np.int64).reshape(m.rows, m.cols)
 
 
-def random_gf2_matrix(rng: np.random.Generator, rows: int, cols: int) -> GF2Matrix:
-    return GF2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)).tolist())
+def gf2_rank(vectors) -> int:
+    """Rank of the span of bit-packed vectors, by elimination on low bits."""
+    basis: dict[int, int] = {}  # lowest set bit -> reduced vector
+    for v in vectors:
+        while v:
+            low = v & -v
+            if low not in basis:
+                basis[low] = v
+                break
+            v ^= basis[low]
+    return len(basis)
+
+
+class RankedMatrix(GF2Matrix):
+    """A GF2Matrix with a row rank, for the rank-against-enumeration checks."""
+
+    __slots__ = ()
+
+    def rank(self) -> int:
+        return gf2_rank(self.data)
+
+
+def random_gf2_matrix(rng: np.random.Generator, rows: int, cols: int) -> RankedMatrix:
+    return RankedMatrix.from_dense(rng.integers(0, 2, size=(rows, cols)).tolist())
 
 
 def span_size(rows: list[int]) -> int:
@@ -161,18 +183,6 @@ def brute_cohomology(cx: GradedComplex) -> dict[int, int]:
     return {k: ker[k] - img.get(k - 1, 0) for k in by_degree}
 
 
-def _span_dim(vectors) -> int:
-    basis: dict[int, int] = {}  # lowest set bit -> reduced vector
-    for v in vectors:
-        while v:
-            low = v & -v
-            if low not in basis:
-                basis[low] = v
-                break
-            v ^= basis[low]
-    return len(basis)
-
-
 def _kernel_combos(columns: list[int]) -> list[int]:
     """Basis of the kernel of ``lambda -> XOR of columns[j] over bits j``."""
     basis: dict[int, tuple[int, int]] = {}  # lowest set bit -> (col, combo)
@@ -237,7 +247,7 @@ def brute_pages(fc: FilteredComplex, r_top: int) -> list[dict[tuple[int, int], i
                 else:
                     den = z_space(p + 1, r - 1, ndeg)
                     den += [d_apply(v) for v in z_space(p - r + 1, r - 1, ndeg - 1)]
-                    rank = len(z_space(p, r, ndeg)) - _span_dim(den)
+                    rank = len(z_space(p, r, ndeg)) - gf2_rank(den)
                 if rank:
                     page[(p, ndeg - p)] = rank
         pages.append(page)
@@ -323,4 +333,51 @@ def quasi_iso_pair(
         d2 = (e @ d2 @ e) % 2
         phi = (e @ phi) % 2
     c2 = GradedComplex(tuple(degrees2), GF2Matrix.from_dense(d2.tolist()))
+    return c1, c2, GF2Matrix.from_dense(phi.tolist())
+
+
+def random_chain_map(
+    rng: np.random.Generator, max_gens: int = 8
+) -> tuple[GradedComplex, GradedComplex, GF2Matrix]:
+    """(c1, c2, phi) with phi a chain map that may or may not be a
+    quasi-isomorphism.
+
+    c2 is c1 (+) c3, seen through a random degree-preserving change of
+    basis, where c3 is a random complex or, half the time, a sum of
+    contractible two-term pieces.  phi is the inclusion of c1 or the zero
+    map, plus a null-homotopic map d2 h + h d1 for a random h of degree -1.
+    So phi is a quasi-isomorphism exactly when it includes c1 and c3 is
+    acyclic, or it is zero and both c1 and c2 are acyclic.
+    """
+    c1 = random_graded_complex(rng, max_gens=max_gens)
+    if rng.random() < 0.5:
+        c3 = random_graded_complex(rng, max_gens=max_gens)
+    else:
+        ks = [int(k) for k in rng.integers(-2, 5, int(rng.integers(0, 4)))]
+        c3 = GradedComplex(
+            tuple(d for k in ks for d in (k, k + 1)),
+            GF2Matrix.from_entries(
+                2 * len(ks), 2 * len(ks), [(2 * a + 1, 2 * a) for a in range(len(ks))]
+            ),
+        )
+    n1, n2 = len(c1), len(c1) + len(c3)
+    deg2 = c1.degrees + c3.degrees
+    d2 = np.zeros((n2, n2), dtype=np.int64)
+    d2[:n1, :n1] = to_numpy(c1.differential)
+    d2[n1:, n1:] = to_numpy(c3.differential)
+    phi = np.zeros((n2, n1), dtype=np.int64)
+    if rng.random() < 0.5:
+        phi[:n1, :n1] = np.eye(n1, dtype=np.int64)
+    lowers_degree = np.subtract.outer(deg2, c1.degrees) == -1
+    h = (lowers_degree & (rng.random((n2, n1)) < 0.3)).astype(np.int64)
+    phi = (phi + d2 @ h + h @ to_numpy(c1.differential)) % 2
+    for _ in range(2 * n2):
+        i, j = (int(x) for x in rng.integers(0, n2, 2))
+        if i == j or deg2[i] != deg2[j]:
+            continue
+        e = np.eye(n2, dtype=np.int64)
+        e[i, j] = 1  # its own inverse over GF(2)
+        d2 = (e @ d2 @ e) % 2
+        phi = (e @ phi) % 2
+    c2 = GradedComplex(deg2, GF2Matrix.from_dense(d2.tolist()))
     return c1, c2, GF2Matrix.from_dense(phi.tolist())

@@ -3,6 +3,8 @@ filtration, and the rank inequality."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ from pearl_floer.gf2 import (
     NotAComplex,
 )
 
-from _helpers import random_valid_datum
+from _helpers import brute_cohomology, random_valid_datum
 
 
 def model_datum(n: int) -> FloerDatum:
@@ -506,6 +508,40 @@ def test_rank_inequality_random_datums():
     for _ in range(100):
         report = rank_inequality_report(random_valid_datum(rng, max_gens=24))
         assert report.inequality_holds
+
+
+def test_rank_inequality_floer_ranks_match_brute_cohomology():
+    rng = np.random.default_rng(47)
+    datums = [random_valid_datum(rng, max_gens=24) for _ in range(200)]
+    start = time.perf_counter()
+    for datum in datums:
+        ranks = rank_inequality_report(datum).floer_ranks
+        brute = brute_cohomology(assemble_differential(datum))
+        assert list(ranks.items()) == list(brute.items())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def test_rank_inequality_checks_filtration_then_square_zero():
+    crits = (
+        Generator("a", "crit", 0),
+        Generator("b", "crit", 1),
+        Generator("c", "crit", 2),
+    )
+    with pytest.raises(NotAComplex, match=r"witness a -> c"):
+        rank_inequality_report(FloerDatum(2, crits, (("a", "b"), ("b", "c"))))
+    both = FloerDatum(
+        3,
+        (
+            Generator("c", "crit", 3),
+            Generator("x", "crit", 4),
+            Generator("a", "pair", 2, 1.0, "b"),
+            Generator("b", "pair", 1, -1.0, "a"),
+        ),
+        differential=(("a", "c"), ("c", "x")),
+    )
+    with pytest.raises(FiltrationViolated):
+        rank_inequality_report(both)
 
 
 def test_two_point_morse_preset():
