@@ -33,6 +33,7 @@ import argparse
 import functools
 import importlib
 import json
+import math
 import sys
 from typing import Any
 
@@ -180,7 +181,7 @@ def _positivity_gate(args, datum: FloerDatum, payload: dict, lines: list[str]) -
 
 
 def _run_pipeline(args):
-    spec, morse = get_model(args.model, args.dim)
+    spec, morse = get_model(args.model, args.dim, args.resolution)
     if args.tol_frame is not None:
         import dataclasses
 
@@ -475,6 +476,14 @@ def cmd_verify_map(args) -> int:
 # parser
 
 
+def tolerance(text: str) -> float:
+    """An argparse type: a finite number >= 0 (NaN would switch a gate off)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pearl-floer",
@@ -501,9 +510,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_RESOLUTION,
             help=f"mesh cells per dimension (default {DEFAULT_RESOLUTION})",
         )
-        p.add_argument("--tol-exact", type=float, default=TOL_EXACT)
-        p.add_argument("--tol-index", type=float, default=TOL_INDEX)
-        p.add_argument("--tol-frame", type=float, default=None)
+        p.add_argument("--tol-exact", type=tolerance, default=TOL_EXACT)
+        p.add_argument("--tol-index", type=tolerance, default=TOL_INDEX)
+        p.add_argument("--tol-frame", type=tolerance, default=None)
 
     analyze = sub.add_parser("analyze", help="run the mesh pipeline on a model")
     add_model_args(analyze)

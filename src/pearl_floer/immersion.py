@@ -12,7 +12,7 @@ passes:
 3. :func:`compute_grading` — lift the squared-determinant phase to a real
    grading theta along a spanning tree, rejecting nonzero integer holonomy
    (ungradable immersions);
-4. :func:`find_double_points` — broad-phase spatial hashing plus Newton
+4. :func:`find_double_points` — a sorted-cell-list broad phase plus Newton
    refinement of self-intersections, emitting two ordered records per
    geometric double point with angles, actions and indices.
 
@@ -38,7 +38,8 @@ array, ``sample_edges`` an (E, 2) index array, and ``path``, ``displace``,
 ``local_basis`` and ``param_distance`` act on stacks.  ``sample_count``
 gives ``len(sample_points(resolution))`` by arithmetic, so that
 :func:`sample_immersion` can refuse a mesh above :data:`MAX_SAMPLES`
-before it allocates anything.
+samples or :data:`MAX_FRAME_ENTRIES` frame entries before it allocates
+anything.
 
 Edge integrals use trapezoid sums at two dyadic subdivisions combined by
 one Richardson step, which keeps the loop-residual noise of smooth exact
@@ -77,6 +78,7 @@ __all__ = [
     "DEFAULT_RESOLUTION",
     "MIN_RESOLUTION",
     "MAX_SAMPLES",
+    "MAX_FRAME_ENTRIES",
     "TOL_EXACT",
     "TOL_INDEX",
     "PipelineError",
@@ -86,6 +88,7 @@ __all__ = [
     "TripleOrWorse",
     "IndexNotIntegral",
     "tangent_basis",
+    "check_mesh_size",
     "BoxChart",
     "SuspensionChart",
     "SpokeBallChart",
@@ -107,6 +110,9 @@ MIN_RESOLUTION = 8
 #: Most samples a mesh may have; the count grows as resolution^n, so the
 #: pipeline refuses a larger projected total (ValueError) before sampling.
 MAX_SAMPLES = 1_000_000
+#: Most complex entries the tangent frames of a mesh may hold: samples
+#: times n^2, at 16 bytes each 256 MiB.  Refused like MAX_SAMPLES.
+MAX_FRAME_ENTRIES = 1 << 24
 #: Default bound on sigma-holonomy of mesh loops (exactness residual).
 TOL_EXACT = 1e-8
 #: Default bound on the raw-index residual at double points.
@@ -123,8 +129,9 @@ EXCLUSION_CELLS = 3.0
 QUAD_BLOCK = 256
 #: Most Newton seeds refined together (one callback call per chart).
 BATCH = 64
-#: Most sample pairs whose distance the broad phase takes in one array
-#: operation (crowded hash cells are split into blocks of rows).
+#: Most candidate pairs whose distance the broad phase checks in one array
+#: operation; the pairs found near go to diagonal suppression in batches
+#: of about this many.
 PAIR_BLOCK = 1024
 
 
@@ -165,6 +172,22 @@ class IndexNotIntegral(PipelineError):
 def _wrap_half(x):
     """Wrap to [-1/2, 1/2] (the representative closest to zero)."""
     return x - np.round(x)
+
+
+def check_mesh_size(samples: int, n: int, resolution: int) -> None:
+    """Refuse (ValueError) a mesh of more than :data:`MAX_SAMPLES` samples,
+    or whose (samples, n, n) tangent frames exceed :data:`MAX_FRAME_ENTRIES`."""
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"resolution {resolution} would take {samples} samples, above the"
+            f" limit of {MAX_SAMPLES}"
+        )
+    if samples * n * n > MAX_FRAME_ENTRIES:
+        raise ValueError(
+            f"resolution {resolution} would take {samples} samples with {n}x{n}"
+            f" frames, {samples * n * n} frame entries, above the limit of"
+            f" {MAX_FRAME_ENTRIES}"
+        )
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -567,13 +590,8 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
         raise ValueError(
             f"resolution {resolution} below the supported minimum {MIN_RESOLUTION}"
         )
-    projected = sum(chart.sample_count(resolution) for chart in spec.charts)
-    if projected > MAX_SAMPLES:
-        raise ValueError(
-            f"resolution {resolution} would take {projected} samples, above the"
-            f" limit of {MAX_SAMPLES}"
-        )
     n = spec.ambient.n
+    check_mesh_size(sum(chart.sample_count(resolution) for chart in spec.charts), n, resolution)
     params, points, frames, intrinsic, edges = [], [], [], [], []
     offsets = [0]
     for chart in spec.charts:
@@ -945,43 +963,139 @@ def _same_sheet(
     return same
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (np.unique would page in ~1 MB of code)."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])]
+
+
+def _index_in(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in a sorted distinct nonempty table, or -1."""
+    pos = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return np.where(table[pos] == values, pos, -1)
+
+
+def _find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query row in ``table`` (distinct integer rows in
+    lexicographic order, at least one), or -1 where it is absent.
+
+    Axes are folded in one at a time, and the codes are re-ranked after
+    each, so no code exceeds len(table)**2: keys of any extent are safe,
+    where a plain ``ravel_multi_index`` would overflow int64.
+    """
+    code = np.zeros(len(table), dtype=np.int64)
+    found = np.zeros(len(queries), dtype=np.int64)
+    for axis in range(table.shape[1]):
+        values = _distinct(table[:, axis])
+        code = code * len(values) + np.searchsorted(values, table[:, axis])
+        step = _index_in(values, queries[:, axis])
+        found = np.where((found < 0) | (step < 0), -1, found * len(values) + step)
+        ranks = _distinct(code)
+        code = np.searchsorted(ranks, code)
+        found = _index_in(ranks, found)
+    return found
+
+
+def _cell_keys(coords: np.ndarray, radius: float) -> np.ndarray:
+    """Integer cell keys (m, k <= 3) of the broad phase.
+
+    Rows of width at most 3 are keyed as they are; wider rows are first
+    projected onto the top three principal axes of the cloud.  An
+    orthonormal projection never lengthens a distance, and the cell side
+    exceeds ``radius`` by a bound on the rounding of the projection and of
+    the division, so two rows within ``radius`` get keys that differ by at
+    most one on every axis.
+    """
+    width = coords.shape[1]
+    proj = coords
+    if width > 3:
+        coords = coords - coords.mean(axis=0)
+        _, _, vt = np.linalg.svd(coords.T @ coords)
+        proj = coords @ vt[:3].T
+    scale = float(np.sqrt(np.max(np.sum(coords * coords, axis=1))))
+    slack = 16 * (width + 1) ** 2 * np.finfo(float).eps * (scale + radius)
+    return np.floor(proj / (max(radius, 1e-12) + slack)).astype(np.int64)
+
+
+def _within(delta: np.ndarray, radius: float) -> np.ndarray:
+    """``np.linalg.norm(delta, axis=1) <= radius``, decided from a faster
+    sum of squares wherever its rounding cannot change the answer."""
+    squares = np.einsum("ij,ij->i", delta, delta)
+    bound = radius * abs(radius)  # a negative radius admits nothing
+    near = squares < bound * (1 - 1e-9)
+    unsure = np.flatnonzero(~near & (squares <= bound * (1 + 1e-9)))
+    if len(unsure):
+        near[unsure] = np.linalg.norm(delta[unsure], axis=1) <= radius
+    return near
+
+
 def _candidate_pairs(
     coords: np.ndarray, radius: float, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """The pairs (i, j), i < j, of rows at distance <= radius that ``keep``
     accepts, sorted.
 
-    Broad phase: rows are hashed on their first three coordinates into
-    cubes of side ``radius``; true distances are checked between each
-    cube and its neighbours.
+    Broad phase: a sorted cell list.  Rows are keyed into cells of side
+    about ``radius`` (see :func:`_cell_keys`) and sorted by cell once.  A
+    task pairs a cell with itself or with one of its adjacent cells that
+    comes later in key order, so every unordered pair of cells is visited
+    once.  The candidate pairs of all tasks are expanded in blocks of at
+    most :data:`PAIR_BLOCK`, and their true distances are checked; the
+    pairs within ``radius`` go to ``keep`` once at least
+    :data:`PAIR_BLOCK` have gathered, and after the last block.
     """
-    proj = coords[:, : min(coords.shape[1], 3)]
-    cell = max(radius, 1e-12)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx, key in enumerate(np.floor(proj / cell).astype(np.int64).tolist()):
-        buckets.setdefault(tuple(key), []).append(idx)
-    offsets = list(product((-1, 0, 1), repeat=proj.shape[1]))
+    m = len(coords)
     found = [np.zeros((0, 2), dtype=np.intp)]
-    for key, members in buckets.items():
-        cand = np.asarray(
-            [
-                other
-                for off in offsets
-                for other in buckets.get(tuple(k + o for k, o in zip(key, off)), ())
-            ]
+    finite = np.flatnonzero(np.isfinite(coords).all(axis=1))  # the others are near nothing
+    if len(finite) > 1:
+        keys = _cell_keys(coords[finite], radius)
+        order = np.lexsort(keys.T[::-1])
+        keys, order = keys[order], finite[order]
+        starts = np.flatnonzero(
+            np.concatenate([[True], np.any(keys[1:] != keys[:-1], axis=1)])
         )
-        rows = max(1, PAIR_BLOCK // len(cand))
-        for start in range(0, len(members), rows):
-            own = np.asarray(members[start : start + rows])
-            dist = np.linalg.norm(coords[cand][None, :, :] - coords[own][:, None, :], axis=2)
-            hit_own, hit_cand = np.nonzero((dist <= radius) & (cand[None, :] > own[:, None]))
-            i, j = own[hit_own], cand[hit_cand]
-            chosen = keep(i, j)
-            found.append(np.stack([i[chosen], j[chosen]], axis=1))
+        sizes = np.diff(np.append(starts, len(keys)))
+        cells = keys[starts]
+        k = cells.shape[1]
+        later = np.array([o for o in product((-1, 0, 1), repeat=k) if o >= (0,) * k])
+        partner = _find_rows(cells, (cells[:, None, :] + later).reshape(-1, k))
+        own = np.repeat(np.arange(len(cells)), len(later))[partner >= 0]
+        other = partner[partner >= 0]
+        # Task q pairs cell own[q] with cell other[q], itself or later in
+        # key order, so every sorted position in other[q] exceeds those in
+        # own[q] except within one cell, where a < b keeps each pair once.
+        # Its candidates are numbered from firsts[q] on, row-major over
+        # (row in own[q], col in other[q]).
+        row_start, col_start, cols = starts[own], starts[other], sizes[other]
+        counts = sizes[own] * cols
+        ends = np.cumsum(counts)
+        firsts = ends - counts
+        sorted_coords = coords[order]
+        total = int(ends[-1])
+        near_i, near_j, held = [], [], 0
+        for start in range(0, total, PAIR_BLOCK):
+            stop = min(start + PAIR_BLOCK, total)
+            lo, hi = np.searchsorted(ends, [start, stop - 1], side="right") + [0, 1]
+            task = np.repeat(
+                np.arange(lo, hi),
+                np.minimum(ends[lo:hi], stop) - np.maximum(firsts[lo:hi], start),
+            )
+            row, col = np.divmod(np.arange(start, stop) - firsts[task], cols[task])
+            a, b = row_start[task] + row, col_start[task] + col
+            a, b = a[a < b], b[a < b]
+            near = _within(sorted_coords.take(b, axis=0) - sorted_coords.take(a, axis=0), radius)
+            a, b = order[a[near]], order[b[near]]
+            near_i.append(np.minimum(a, b))
+            near_j.append(np.maximum(a, b))
+            held += len(a)
+            if held >= PAIR_BLOCK or (held and stop == total):
+                i, j = np.concatenate(near_i), np.concatenate(near_j)
+                chosen = keep(i, j)
+                found.append(np.stack([i[chosen], j[chosen]], axis=1))
+                near_i, near_j, held = [], [], 0
     pairs = np.concatenate(found)
-    codes = np.sort(pairs[:, 0] * len(coords) + pairs[:, 1])
-    codes = codes[np.diff(codes, prepend=-1) != 0]  # np.unique would page in ~1 MB of code
-    return np.stack([codes // len(coords), codes % len(coords)], axis=1)
+    codes = np.sort(pairs[:, 0] * m + pairs[:, 1])
+    return np.stack([codes // m, codes % m], axis=1)
 
 
 def _distinct_preimages(
@@ -1045,14 +1159,16 @@ def find_double_points(
 ) -> list[DoublePointRecord]:
     """Locate transverse self-intersections and grade them.
 
-    Broad phase: spatial hashing of sample points (cell size set by the
-    median mesh spacing; in high codimension the hash key uses a fixed
-    low-dimensional coordinate projection, with true distances checked on
-    every bucket collision).  Candidate pairs that survive the
-    self-proximity exclusion are polished by Newton iteration (the seeds
-    of one chart pair in batches), duplicate roots are merged, and every
-    surviving geometric point is emitted as two ordered records carrying
-    angles, actions and indices.
+    Broad phase: a sorted cell list over the sample points, with cells of
+    side the exclusion radius (``exclusion_cells`` median mesh spacings).
+    Points of more than three real coordinates are keyed by their
+    projection onto the top three principal axes of the sample cloud,
+    which never lengthens a distance, so the search is exact: true
+    distances are checked between each cell and its adjacent cells.
+    Candidate pairs that survive the self-proximity exclusion are polished
+    by Newton iteration (the seeds of one chart pair in batches), duplicate
+    roots are merged, and every surviving geometric point is emitted as two
+    ordered records carrying angles, actions and indices.
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(

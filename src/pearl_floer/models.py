@@ -22,8 +22,8 @@ import numpy as np
 
 from .floer import MorseData, two_point_morse
 from .geom import AmbientSpace
-from .immersion import BoxChart, ImmersionSpec
-from .sphere import sphere_immersion
+from .immersion import BoxChart, ImmersionSpec, check_mesh_size
+from .sphere import sphere_immersion, sphere_sample_count
 
 __all__ = ["MODEL_NAMES", "get_model"]
 
@@ -133,8 +133,16 @@ _BUILDERS = {
 MODEL_NAMES = tuple(sorted(_BUILDERS))
 
 
-def get_model(name: str, dim: int | None = None) -> tuple[ImmersionSpec, MorseData]:
-    """Build a named model at the requested ambient dimension."""
+def get_model(
+    name: str, dim: int | None = None, resolution: int | None = None
+) -> tuple[ImmersionSpec, MorseData]:
+    """Build a named model at the requested ambient dimension.
+
+    Given the ``resolution`` it will be sampled at, the sphere's mesh size
+    is checked (:func:`~pearl_floer.immersion.check_mesh_size`) before its
+    atlas, which holds 2n directions of length n, is built.  The other
+    atlases are O(n), and ``sample_immersion`` checks them before sampling.
+    """
     if name not in _BUILDERS:
         raise ValueError(f"unknown model '{name}' (available: {', '.join(MODEL_NAMES)})")
     builder, fixed = _BUILDERS[name]
@@ -144,6 +152,8 @@ def get_model(name: str, dim: int | None = None) -> tuple[ImmersionSpec, MorseDa
         raise ValueError(f"model '{name}' has fixed ambient dimension {fixed}")
     if dim < 1:
         raise ValueError("ambient dimension must be at least 1")
+    if name == "sphere" and resolution is not None:
+        check_mesh_size(sphere_sample_count(dim, resolution), dim, resolution)
     spec = builder(dim)
     morse = two_point_morse(dim) if name == "sphere" else MorseData(criticals=())
     return spec, morse

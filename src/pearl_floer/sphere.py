@@ -48,6 +48,7 @@ __all__ = [
     "sphere_theta",
     "sphere_branch_frames",
     "sphere_immersion",
+    "sphere_sample_count",
     "sphere_datum",
     "quadratic_potential",
     "fiber_parameter",
@@ -148,6 +149,13 @@ def _directions(n: int) -> tuple[tuple[float, ...], ...]:
         e[k] = -1.0
         out.append(tuple(e))
     return tuple(out)
+
+
+def sphere_sample_count(n: int, resolution: int) -> int:
+    """Samples of the :func:`sphere_immersion` atlas, by arithmetic: the
+    atlas itself holds 2n direction vectors of length n."""
+    spokes = SpokeBallChart._spoke_samples(resolution)
+    return 2 * n * resolution + 2 * (1 + 2 * n * spokes)
 
 
 def sphere_immersion(n: int, seam: float = DEFAULT_SEAM) -> ImmersionSpec:

@@ -368,6 +368,56 @@ def test_analyze_refuses_a_mesh_above_the_sample_limit(capsys, monkeypatch):
     assert f"{1025**6} samples" in err
 
 
+def test_analyze_refuses_frames_above_the_entry_limit_before_sampling(capsys, monkeypatch):
+    def refuse(self, resolution):
+        raise AssertionError("sample_points called")
+
+    monkeypatch.setattr(BoxChart, "sample_points", refuse)
+    # 15^5 = 759375 samples are allowed, their 5x5 frames are not
+    code, out, err = run(
+        capsys, "analyze", "--model", "flat", "--dim", "5", "--resolution", "14"
+    )
+    assert (code, out) == (2, "")
+    assert f"{15**5 * 25} frame entries" in err
+
+
+def test_analyze_refuses_a_large_sphere_before_building_its_atlas(capsys, monkeypatch):
+    from pearl_floer import sphere
+
+    def refuse(n):
+        raise AssertionError("sphere atlas built")
+
+    monkeypatch.setattr(sphere, "_directions", refuse)
+    code, out, err = run(capsys, "analyze", "--model", "sphere", "--dim", "2000")
+    assert (code, out) == (2, "")
+    samples = sphere.sphere_sample_count(2000, cli.DEFAULT_RESOLUTION)
+    assert f"{samples * 2000**2} frame entries" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+@pytest.mark.parametrize("flag", ["--tol-exact", "--tol-index", "--tol-frame"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_mesh_commands_refuse_non_finite_or_negative_tolerances(
+    capsys, tmp_path, command, flag, value
+):
+    argv = [command, "--model", "cylinder", f"{flag}={value}"]
+    if command == "export":
+        argv.append(str(tmp_path / "out.fld"))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {flag}: must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_mesh_commands_accept_zero_and_the_benchmark_tolerance(capsys):
+    code, _, err = run(capsys, "analyze", "--model", "circle", "--tol-exact", "4")
+    assert code == 1 and "not gradable" in err
+    code, _, err = run(
+        capsys, "analyze", "--model", "figure_eight", "--resolution", "64", "--tol-exact", "0"
+    )
+    assert code == 1 and "not exact" in err
+
+
 # ---------------------------------------------------------------------------
 # layering: the algebra subcommands never load the mesh layer
 

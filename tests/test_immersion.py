@@ -201,6 +201,18 @@ def test_sample_limit_is_checked_before_sampling(monkeypatch):
         sample_immersion(spec, 16)
 
 
+def test_frame_entry_limit_is_checked_before_sampling(monkeypatch):
+    spec, _ = get_model("flat", 4)
+
+    def refuse(self, resolution):
+        raise AssertionError("sample_points called")
+
+    monkeypatch.setattr(BoxChart, "sample_points", refuse)
+    monkeypatch.setattr(immersion, "MAX_FRAME_ENTRIES", 17**4 * 16 - 1)
+    with pytest.raises(ValueError, match=f"{17**4 * 16} frame entries"):
+        sample_immersion(spec, 16)
+
+
 def test_spoke_chart_spokes_reach_boundary():
     chart = SpokeBallChart(id="c", radius=0.5, directions=((1.0, 0.0), (0.0, 1.0)))
     pts = chart.sample_points(64)
@@ -522,6 +534,129 @@ def test_tangential_crossing_is_rejected():
     compute_grading(mesh)
     with pytest.raises(NonTransverseDoublePoint):
         find_double_points(mesh)
+
+
+# ---------------------------------------------------------------------------
+# broad phase: _candidate_pairs against independent oracles
+
+
+def brute_pairs(coords, radius, keep):
+    """Every pair i < j with norm(coords[j] - coords[i]) <= radius that keep
+    accepts, by checking all m(m - 1)/2 pairs."""
+    found = []
+    for i in range(len(coords) - 1):
+        j = i + 1 + np.flatnonzero(
+            np.linalg.norm(coords[i + 1 :] - coords[i], axis=1) <= radius
+        )
+        found.append(np.stack([np.full(len(j), i), j], axis=1))
+    pairs = np.concatenate(found) if found else np.zeros((0, 2), dtype=np.intp)
+    return pairs[keep(pairs[:, 0], pairs[:, 1])] if len(pairs) else pairs
+
+
+def checked_keep(coords, radius, calls):
+    """A deterministic keep that drops every third pair and checks its input."""
+
+    def keep(i, j):
+        assert np.all(i < j)
+        assert np.all(np.linalg.norm(coords[j] - coords[i], axis=1) <= radius)
+        calls.append(np.stack([i, j], axis=1))
+        return (i + 2 * j) % 3 != 0
+
+    return keep
+
+
+def assert_pairs_match_brute_force(coords, radius):
+    calls = []
+    got = immersion._candidate_pairs(coords, radius, checked_keep(coords, radius, calls))
+    want = brute_pairs(coords, radius, checked_keep(coords, radius, []))
+    assert got.dtype == np.intp and got.shape[1:] == (2,)
+    assert np.array_equal(got, want)
+    offered = np.concatenate(calls) if calls else np.zeros((0, 2), dtype=np.intp)
+    # keep saw every near pair exactly once
+    assert len(offered) == len({tuple(p) for p in offered.tolist()})
+    assert len(offered) == len(brute_pairs(coords, radius, lambda i, j: i >= 0))
+
+
+def random_cloud(rng, m, width, radius):
+    kind = rng.integers(3)
+    if kind == 0:  # a blob a few radii across
+        coords = rng.normal(scale=3 * radius, size=(m, width))
+    elif kind == 1:  # a curve, as a mesh of one-dimensional charts gives
+        t = np.sort(rng.uniform(0, 40 * radius, size=m))
+        coords = 5 * radius * np.cos(t[:, None] / (5 * radius) + np.arange(width))
+    else:  # points on cell faces: integer multiples of the radius
+        coords = rng.integers(-4, 5, size=(m, width)) * radius
+    if m > 2:  # duplicate points
+        coords[rng.integers(m, size=m // 5)] = coords[rng.integers(m, size=m // 5)]
+    return coords
+
+
+def test_candidate_pairs_match_brute_force_on_random_clouds():
+    rng = np.random.default_rng(61)
+    for width in range(1, 17):
+        for m in (0, 1, 2, 7, 60, 250):
+            radius = float(rng.choice([0.25, 1.0, 1e-3, 0.37]))
+            assert_pairs_match_brute_force(random_cloud(rng, m, width, radius), radius)
+
+
+def test_candidate_pairs_survive_extents_beyond_int64_cell_codes():
+    # 2^23 cells per axis: a code built by multiplying three extents would
+    # need 69 bits
+    rng = np.random.default_rng(67)
+    radius = 1.0
+    for width in (3, 6):
+        base = rng.integers(0, 2**23, size=(150, width)).astype(float)
+        base[:, 0] = np.linspace(0, 2**23, len(base))
+        partners = base + rng.uniform(-0.6, 0.6, size=base.shape)
+        coords = np.concatenate([base, partners, base[:5]])
+        assert np.ptp(coords[:, 0]) / radius > 2**22
+        assert_pairs_match_brute_force(coords, radius)
+
+
+def test_within_agrees_with_the_norm_at_the_boundary():
+    rng = np.random.default_rng(71)
+    for width in (1, 2, 6, 16):
+        delta = rng.normal(size=(4000, width))
+        radius = 0.7
+        # norms spread over a few ulps around the radius, and exact ties
+        delta *= (radius * (1 + rng.integers(-8, 9, size=4000) * 2e-16)
+                  / np.linalg.norm(delta, axis=1))[:, None]
+        delta[:50] = 0.0
+        delta[:50, 0] = radius
+        assert np.array_equal(
+            immersion._within(delta, radius), np.linalg.norm(delta, axis=1) <= radius
+        )
+
+
+def broad_phase_inputs(name, dim, resolution):
+    """(coords, radius, keep) that find_double_points hands the broad phase."""
+    captured = {}
+    real = immersion._candidate_pairs
+
+    def spy(coords, radius, keep):
+        captured.update(coords=coords, radius=radius, keep=keep)
+        return real(coords, radius, keep)
+
+    spec, _ = get_model(name, dim)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(immersion, "_candidate_pairs", spy)
+        run_pipeline(spec, resolution)
+    return captured["coords"], captured["radius"], captured["keep"]
+
+
+@pytest.mark.parametrize(
+    "name, dim, resolution",
+    [("sphere", n, 16) for n in range(2, 9)]
+    + [("flat", 1, 64), ("flat", 2, 16), ("flat", 3, 8), ("figure_eight", 1, 256)],
+)
+def test_candidate_pairs_match_kdtree_on_model_meshes(name, dim, resolution):
+    spatial = pytest.importorskip("scipy.spatial")
+    coords, radius, keep = broad_phase_inputs(name, dim, resolution)
+    pairs = spatial.cKDTree(coords).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.intp)
+    pairs = pairs[np.linalg.norm(coords[pairs[:, 1]] - coords[pairs[:, 0]], axis=1) <= radius]
+    pairs = pairs[keep(pairs[:, 0], pairs[:, 1])]
+    assert np.array_equal(immersion._candidate_pairs(coords, radius, keep), pairs)
 
 
 # ---------------------------------------------------------------------------

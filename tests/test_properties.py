@@ -8,6 +8,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from pearl_floer.fileformat import dumps_datum, loads_datum  # noqa: E402
+from pearl_floer.floer import FloerDatum, Generator, validate_datum  # noqa: E402
 from pearl_floer.gf2 import GF2Matrix, GradedComplex  # noqa: E402
 
 from _helpers import random_graded_complex, to_numpy  # noqa: E402
@@ -35,3 +37,52 @@ def test_cohomology_invariant_under_change_of_basis(seed, data):
     d = (p @ to_numpy(cx.differential) @ p_inv) % 2
     moved = GradedComplex(cx.degrees, GF2Matrix.from_dense(d.tolist()))
     assert moved.cohomology_ranks() == cx.cohomology_ranks()
+
+
+def legal_entry(src: Generator, dst: Generator) -> bool:
+    """Whether src -> dst may stand in a valid datum's net differential."""
+    if dst.degree != src.degree + 1:
+        return False
+    if src.kind == "pair" and dst.kind == "pair":
+        return dst.action > src.action
+    if src.kind == "crit" and dst.kind == "pair":
+        return dst.action > 0
+    if src.kind == "pair" and dst.kind == "crit":
+        return src.action < 0
+    return True
+
+
+@st.composite
+def valid_datums(draw):
+    """Any datum that validates: unicode ids, any finite actions (zero and
+    -0.0 included), legal entries listed any number of times, and illegal
+    ones an even number of times, so that they cancel."""
+    n, n_crit, n_pairs = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    size = n_crit + 2 * n_pairs
+    names = st.text(min_size=1, max_size=4)
+    ids = draw(st.lists(names, min_size=size, max_size=size, unique=True))
+    gens = [Generator(gen_id, "crit", draw(st.integers(0, n))) for gen_id in ids[2 * n_pairs :]]
+    for a, b in zip(ids[: 2 * n_pairs : 2], ids[1 : 2 * n_pairs : 2]):
+        degree = draw(st.integers(-1, n + 1))
+        action = draw(st.floats(allow_nan=False, allow_infinity=False))
+        gens.append(Generator(a, "pair", degree, action, b))
+        gens.append(Generator(b, "pair", n - degree, -action, a))
+    order = draw(st.permutations(range(len(gens))))
+    gens = [gens[k] for k in order]
+    couples = [(g, h) for g in gens for h in gens if g.id != h.id]
+    legal = [(g.id, h.id) for g, h in couples if legal_entry(g, h)]
+    illegal = [(g.id, h.id) for g, h in couples if not legal_entry(g, h)]
+    entries = []
+    if legal:
+        entries += draw(st.lists(st.sampled_from(legal), max_size=8))
+    if illegal:
+        entries += 2 * draw(st.lists(st.sampled_from(illegal), max_size=3))
+    entries = draw(st.permutations(entries))
+    return FloerDatum(n, tuple(gens), tuple(entries))
+
+
+@given(valid_datums())
+def test_fld_round_trip_is_byte_stable(datum):
+    assert validate_datum(datum).ok
+    text = dumps_datum(datum)
+    assert dumps_datum(loads_datum(text)) == text

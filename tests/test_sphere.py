@@ -38,6 +38,7 @@ from pearl_floer.sphere import (
     sphere_datum,
     sphere_h,
     sphere_immersion,
+    sphere_sample_count,
     sphere_theta,
 )
 
@@ -246,3 +247,12 @@ def test_disc_input_validation():
         DiscFamily(np.array([1.0, 0.0]), a=1.2)
     with pytest.raises(ValueError, match="nonzero"):
         DiscFamily(np.array([0.0, 0.0]))
+
+
+def test_sphere_sample_count_matches_the_atlas():
+    for n in range(1, 6):
+        charts = sphere_immersion(n).charts
+        for resolution in (8, 9, 16, 24, 33, 64):
+            assert sphere_sample_count(n, resolution) == sum(
+                chart.sample_count(resolution) for chart in charts
+            )
