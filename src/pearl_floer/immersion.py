@@ -129,6 +129,10 @@ EXCLUSION_CELLS = 3.0
 QUAD_BLOCK = 256
 #: Most Newton seeds refined together (one callback call per chart).
 BATCH = 64
+#: Newton seeds of one chart pair whose iterates round to the same
+#: multiple of this on every parameter coordinate are refined as one; two
+#: roots of a double point this close count as the same preimage.
+MERGE_TOL = 1e-6
 #: Most candidate pairs whose distance the broad phase checks in one array
 #: operation; the pairs found near go to diagonal suppression in batches
 #: of about this many.
@@ -569,9 +573,21 @@ class ImmersionMesh:
         return self.theta is not None
 
 
+def _require_finite(chart: Chart, params: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Refuse (ValueError) a stack of callback values with a non-finite
+    entry, naming the chart and the params of the first such row."""
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if bad.any():
+        where = params[int(np.argmax(bad))].tolist()
+        raise ValueError(f"chart '{chart.id}': {what} is not finite at params {where}")
+
+
 def _frames_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> np.ndarray:
-    """Unitary tangent frames (m, n, n) at a stack of parameter points."""
-    columns = spec.jacobian(chart.id, params) @ chart.local_basis(params)
+    """Unitary tangent frames (m, n, n) at a stack of parameter points;
+    tangent vectors that are not finite are refused (ValueError)."""
+    jacobians = spec.jacobian(chart.id, params)
+    _require_finite(chart, params, jacobians, "tangent frame")
+    columns = jacobians @ chart.local_basis(params)
     try:
         return make_unitary_frame(columns, tol=spec.frame_tol)
     except (NotLagrangian, Degenerate) as err:
@@ -585,7 +601,11 @@ def _frame_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> Lagrangi
 
 
 def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) -> ImmersionMesh:
-    """Evaluate the atlas on a mesh and build verified tangent frames."""
+    """Evaluate the atlas on a mesh and build verified tangent frames.
+
+    A position or tangent frame that is not finite is refused
+    (ValueError), naming the chart and the sample's params.
+    """
     if resolution < MIN_RESOLUTION:
         raise ValueError(
             f"resolution {resolution} below the supported minimum {MIN_RESOLUTION}"
@@ -602,6 +622,7 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
                 f"position callback returned shape {z.shape}, expected"
                 f" ({len(p)}, {n})"
             )
+        _require_finite(chart, p, z, "position")
         params.append(p)
         points.append(z)
         for start in range(0, len(p), BATCH):
@@ -792,7 +813,8 @@ def compute_primitive(
     h is normalised to 0 at ``basepoint`` (and at the lowest-index sample
     of any further connected component).  Every non-tree edge closes a
     mesh loop; its sigma-holonomy must vanish within ``tol_exact``, else
-    the immersion is not exact and :class:`NotExact` is raised.
+    the immersion is not exact and :class:`NotExact` is raised.  A NaN
+    holonomy (a callback that is NaN between the samples) fails too.
     """
     sigma = np.zeros(len(mesh.edges))
     heads = mesh.chart_index[mesh.edges[:, 0]]
@@ -805,7 +827,7 @@ def compute_primitive(
             )
     mesh.h, residual, i, j = _integrate(mesh, basepoint, sigma, np.zeros(len(mesh.points)))
     residual = np.abs(residual)
-    failing = np.flatnonzero(residual > tol_exact)
+    failing = np.flatnonzero(~(residual <= tol_exact))  # NaN fails too
     if len(failing):
         k = failing[0]
         raise NotExact(
@@ -826,16 +848,18 @@ def compute_grading(
 
     Each tree edge takes the lift with |jump| < 1/2.  Non-tree edges then
     carry an integer defect (the winding of the phase around the loop);
-    any nonzero value means the immersion admits no grading.
+    any nonzero value means the immersion admits no grading.  A defect
+    that is not within ``tol_integer`` of an integer, NaN included, raises
+    :class:`NotGraded` as too coarse to certify.
     """
     jumps = _wrap_half(mesh.phase[mesh.edges[:, 1]] - mesh.phase[mesh.edges[:, 0]])
     mesh.theta, defect, i, j = _integrate(mesh, basepoint, jumps, mesh.phase)
     rounded = np.round(defect)
     off = np.abs(defect - rounded)
-    failing = np.flatnonzero((off > tol_integer) | (rounded != 0))
+    failing = np.flatnonzero(~(off <= tol_integer) | (rounded != 0))  # NaN fails too
     if len(failing):
         k = failing[0]
-        if off[k] > tol_integer:
+        if not off[k] <= tol_integer:
             raise NotGraded(
                 f"loop through samples ({i[k]}, {j[k]}) has non-integer phase defect"
                 f" {defect[k]:.6e}; the mesh is too coarse to certify a grading",
@@ -896,28 +920,67 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.swapaxes(vt, 1, 2) @ (inverse * ub)[:, :, None])[:, :, 0]
 
 
+def _merge_coinciding(
+    live: np.ndarray, pa: np.ndarray, pb: np.ndarray, leader: np.ndarray
+) -> np.ndarray:
+    """Merge the live seeds (ascending) whose (pa, pb) round to the same
+    multiple of :data:`MERGE_TOL` on every coordinate (cells of that side,
+    centred on the multiples, so a root at 0 is not split).
+
+    The lowest seed of each group stays live; the others record it in
+    ``leader``.  A seed with a non-finite coordinate is merged with none.
+    Returns the seeds left live, ascending.
+    """
+    if len(live) < 2:
+        return live
+    cells = np.round(np.concatenate([pa[live], pb[live]], axis=1) / MERGE_TOL)
+    order = np.lexsort(cells.T[::-1])  # stable: a cell's lowest seed first
+    cells = cells[order]
+    first = np.concatenate([[True], np.any(cells[1:] != cells[:-1], axis=1)])
+    first |= ~np.isfinite(cells).all(axis=1)
+    heads = np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))
+    leader[live[order[~first]]] = live[order[heads[~first]]]
+    return live[np.sort(order[first])]
+
+
 def _refine_seeds(
     spec: ImmersionSpec, chart_a: Chart, chart_b: Chart, pa: np.ndarray, pb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton iteration on position(a) - position(b) = 0 for a stack of seeds.
 
-    Seeds advance together in blocks of at most :data:`BATCH`; each
-    stops on its own, after a step shorter than ``NEWTON_STEP_TOL`` or
-    ``NEWTON_MAX_ITER`` steps.  Returns the refined params, the midpoints
-    of the two images and the final residual norms.
+    Step-synchronous: every live seed takes step k before any seed takes
+    step k + 1, and each step is done in blocks of at most :data:`BATCH`
+    seeds.  A seed stops after a step shorter than ``NEWTON_STEP_TOL`` or
+    after ``NEWTON_MAX_ITER`` steps.  After each step the seeds still
+    moving are merged by :func:`_merge_coinciding`: of the seeds whose
+    iterates round to the same multiples of :data:`MERGE_TOL`, the lowest,
+    the leader, keeps iterating and the others stop.  At the end each merged
+    seed takes the final params, midpoint and gap of its leader, following
+    chains of leaders to the end.  A leader follows exactly the trajectory
+    it would follow alone, so the first seed of every root keeps its root
+    to the bit.
+
+    Returns the refined params, the midpoints of the two images, the final
+    residual norms, and for each seed the seed whose result it took
+    (itself unless merged).
     """
     pa, pb = pa.copy(), pb.copy()
     za = np.empty((len(pa), spec.ambient.n), dtype=complex)
     zb = np.empty_like(za)
     for start in range(0, len(pa), BATCH):
-        live = np.arange(start, min(start + BATCH, len(pa)))
-        za[live] = spec.position(chart_a.id, pa[live])
-        zb[live] = spec.position(chart_b.id, pb[live])
-        for _ in range(NEWTON_MAX_ITER):
-            if not len(live):
-                break
-            qa, qb = pa[live], pb[live]
-            residual = za[live] - zb[live]
+        block = slice(start, start + BATCH)
+        za[block] = spec.position(chart_a.id, pa[block])
+        zb[block] = spec.position(chart_b.id, pb[block])
+    leader = np.arange(len(pa))
+    live = leader.copy()
+    for _ in range(NEWTON_MAX_ITER):
+        if not len(live):
+            break
+        moving = []
+        for start in range(0, len(live), BATCH):
+            rows = live[start : start + BATCH]
+            qa, qb = pa[rows], pb[rows]
+            residual = za[rows] - zb[rows]
             ja = spec.jacobian(chart_a.id, qa) @ chart_a.local_basis(qa)
             jb = spec.jacobian(chart_b.id, qb) @ chart_b.local_basis(qb)
             system = np.concatenate([ja, -jb], axis=2)
@@ -927,11 +990,18 @@ def _refine_seeds(
             )
             qa = chart_a.displace(qa, step[:, : chart_a.dim])
             qb = chart_b.displace(qb, step[:, chart_a.dim :])
-            pa[live], pb[live] = qa, qb
-            za[live] = spec.position(chart_a.id, qa)
-            zb[live] = spec.position(chart_b.id, qb)
-            live = live[np.linalg.norm(step, axis=1) >= NEWTON_STEP_TOL]
-    return pa, pb, (za + zb) / 2.0, np.linalg.norm(za - zb, axis=1)
+            pa[rows], pb[rows] = qa, qb
+            za[rows] = spec.position(chart_a.id, qa)
+            zb[rows] = spec.position(chart_b.id, qb)
+            moving.append(rows[np.linalg.norm(step, axis=1) >= NEWTON_STEP_TOL])
+        live = _merge_coinciding(np.concatenate(moving), pa, pb, leader)
+    while True:
+        ahead = leader[leader]
+        if np.array_equal(ahead, leader):
+            break
+        leader = ahead
+    za, zb = za[leader], zb[leader]
+    return pa[leader], pb[leader], (za + zb) / 2.0, np.linalg.norm(za - zb, axis=1), leader
 
 
 def _same_sheet(
@@ -949,17 +1019,18 @@ def _same_sheet(
     Preimages are given by chart numbers (arrays, or one number for all),
     NaN-padded params and intrinsic points (None without an intrinsic
     callback).  ``cuts`` holds the intrinsic distance cut and the
-    parameter distance cut of each chart.
+    parameter distance cut of each chart; a pair at exactly the cut is the
+    same sheet, as the broad phase keeps pairs at exactly its radius.
     """
     intrinsic_cut, param_cut = cuts
     if intrinsic_a is not None and intrinsic_b is not None:
-        return np.linalg.norm(intrinsic_a - intrinsic_b, axis=-1) < intrinsic_cut
+        return np.linalg.norm(intrinsic_a - intrinsic_b, axis=-1) <= intrinsic_cut
     same = np.zeros(len(params_a), dtype=bool)
     for c, chart in enumerate(mesh.spec.charts):
         on_c = np.broadcast_to((chart_a == c) & (chart_b == c), same.shape)
         if on_c.any():
             d = mesh.param_dims[c]
-            same[on_c] = chart.param_distance(params_a[on_c, :d], params_b[on_c, :d]) < param_cut[c]
+            same[on_c] = chart.param_distance(params_a[on_c, :d], params_b[on_c, :d]) <= param_cut[c]
     return same
 
 
@@ -1165,10 +1236,14 @@ def find_double_points(
     projection onto the top three principal axes of the sample cloud,
     which never lengthens a distance, so the search is exact: true
     distances are checked between each cell and its adjacent cells.
-    Candidate pairs that survive the self-proximity exclusion are polished
-    by Newton iteration (the seeds of one chart pair in batches), duplicate
-    roots are merged, and every surviving geometric point is emitted as two
-    ordered records carrying angles, actions and indices.
+    Candidate pairs that survive the self-proximity exclusion (a pair at
+    exactly the cut is the same sheet) are polished by Newton iteration,
+    the seeds of one chart pair together (:func:`_refine_seeds`: seeds
+    whose iterates meet within :data:`MERGE_TOL` are refined once).  The
+    roots are then taken in seed order, the first root of each geometric
+    point winning, duplicates are merged, and every surviving geometric
+    point is emitted as two ordered records carrying angles, actions and
+    indices.
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(
@@ -1219,7 +1294,7 @@ def find_double_points(
         da, db = mesh.param_dims[ca], mesh.param_dims[cb]
         pa = mesh.params[seeds[chosen, 0], :da]
         pb = mesh.params[seeds[chosen, 1], :db]
-        pa, pb, points, gaps = _refine_seeds(spec, charts[ca], charts[cb], pa, pb)
+        pa, pb, points, gaps, _ = _refine_seeds(spec, charts[ca], charts[cb], pa, pb)
         close = gaps <= refine_tol
         if not close.any():
             continue
@@ -1251,7 +1326,6 @@ def find_double_points(
 
     # --- merge duplicates in seed order: group by geometric point, then
     # by preimage; a group's point is that of its first root
-    merge_tol = 1e-6
     groups: list[dict] = []
     if found:
         seed_pos, side_chart, side_params, side_intr, points = (
@@ -1261,7 +1335,7 @@ def find_double_points(
         while len(remaining):
             point = points[remaining[0]]
             rest = points[remaining]
-            near = np.linalg.norm(rest - point, axis=1) <= merge_tol * (
+            near = np.linalg.norm(rest - point, axis=1) <= MERGE_TOL * (
                 1.0 + np.linalg.norm(rest, axis=1)
             )
             near[0] = True
@@ -1277,8 +1351,8 @@ def find_double_points(
                         None
                         if side_intr is None
                         else side_intr[members].reshape(-1, side_intr.shape[-1]),
-                        max(merge_tol, 10 * refine_tol),
-                        merge_tol,
+                        max(MERGE_TOL, 10 * refine_tol),
+                        MERGE_TOL,
                     ),
                 }
             )

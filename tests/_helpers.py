@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from pearl_floer import immersion
 from pearl_floer.geom import LagrangianFrame, transversality_check
 from pearl_floer.gf2 import FilteredComplex, GF2Matrix, GradedComplex
 
@@ -61,6 +62,46 @@ def cofactor_det(a: np.ndarray) -> complex:
         minor = np.delete(rest, j, axis=1)
         total += (-1) ** j * complex(a[0, j]) * cofactor_det(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Newton refinement
+
+
+def refine_each(spec, chart_a, chart_b, pa, pb):
+    """Newton refinement of every seed on its own (oracle for
+    ``immersion._refine_seeds``, which merges coinciding iterates).
+
+    Blocks of ``immersion.BATCH`` seeds run one after another, each to
+    convergence.  Returns the refined params, the midpoints of the two
+    images and the final residual norms.
+    """
+    pa, pb = pa.copy(), pb.copy()
+    za = np.empty((len(pa), spec.ambient.n), dtype=complex)
+    zb = np.empty_like(za)
+    for start in range(0, len(pa), immersion.BATCH):
+        live = np.arange(start, min(start + immersion.BATCH, len(pa)))
+        za[live] = spec.position(chart_a.id, pa[live])
+        zb[live] = spec.position(chart_b.id, pb[live])
+        for _ in range(immersion.NEWTON_MAX_ITER):
+            if not len(live):
+                break
+            qa, qb = pa[live], pb[live]
+            residual = za[live] - zb[live]
+            ja = spec.jacobian(chart_a.id, qa) @ chart_a.local_basis(qa)
+            jb = spec.jacobian(chart_b.id, qb) @ chart_b.local_basis(qb)
+            system = np.concatenate([ja, -jb], axis=2)
+            step = immersion._lstsq(
+                np.concatenate([system.real, system.imag], axis=1),
+                np.concatenate([-residual.real, -residual.imag], axis=1),
+            )
+            qa = chart_a.displace(qa, step[:, : chart_a.dim])
+            qb = chart_b.displace(qb, step[:, chart_a.dim :])
+            pa[live], pb[live] = qa, qb
+            za[live] = spec.position(chart_a.id, qa)
+            zb[live] = spec.position(chart_b.id, qb)
+            live = live[np.linalg.norm(step, axis=1) >= immersion.NEWTON_STEP_TOL]
+    return pa, pb, (za + zb) / 2.0, np.linalg.norm(za - zb, axis=1)
 
 
 # ---------------------------------------------------------------------------

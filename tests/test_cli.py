@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pearl_floer
@@ -379,6 +381,20 @@ def test_analyze_refuses_frames_above_the_entry_limit_before_sampling(capsys, mo
     )
     assert (code, out) == (2, "")
     assert f"{15**5 * 25} frame entries" in err
+
+
+def test_analyze_refuses_a_non_finite_position(capsys, monkeypatch):
+    build, fixed = models._BUILDERS["figure_eight"]
+
+    def nan_at_a_quarter(n):
+        spec = build(n)
+        position = lambda chart_id, P: np.where(P == 0.25, np.nan, spec.position(chart_id, P))
+        return dataclasses.replace(spec, position=position)
+
+    monkeypatch.setitem(models._BUILDERS, "figure_eight", (nan_at_a_quarter, fixed))
+    code, out, err = run(capsys, "analyze", "--model", "figure_eight", "--resolution", "64")
+    assert (code, out) == (2, "")
+    assert err == "error: chart 'loop': position is not finite at params [0.25]\n"
 
 
 def test_analyze_refuses_a_large_sphere_before_building_its_atlas(capsys, monkeypatch):

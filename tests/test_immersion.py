@@ -41,6 +41,8 @@ from pearl_floer.immersion import (
 from pearl_floer.models import get_model
 from pearl_floer.sphere import sphere_immersion
 
+from _helpers import refine_each
+
 
 def eight_h(t):
     u = np.cos(2 * np.pi * np.asarray(t, dtype=float))
@@ -315,6 +317,56 @@ def test_cylinder_loop_is_not_exact():
     with pytest.raises(NotExact) as info:
         compute_primitive(mesh)
     assert info.value.residual == pytest.approx(np.pi, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# non-finite callback values
+
+
+def eight_with_nan(where):
+    """The figure-eight, its position NaN at the params where ``where`` holds."""
+    spec, _ = get_model("figure_eight")
+
+    def position(chart_id, P):
+        z = spec.position(chart_id, P)
+        return np.where(where(P[:, :1]), np.nan, z)
+
+    return dataclasses.replace(spec, position=position)
+
+
+def test_non_finite_sample_positions_are_refused():
+    bad = np.array([5, 40, 99]) / 128
+    spec = eight_with_nan(lambda t: np.isin(t, bad))
+    with pytest.raises(ValueError, match=r"chart 'loop': position is not finite at params \[0.0390625\]"):
+        sample_immersion(spec, 128)
+
+
+def test_non_finite_tangent_frames_are_refused():
+    base, _ = get_model("figure_eight")
+    spec = dataclasses.replace(
+        base,
+        differential=lambda chart_id, P: np.where(
+            P[:, :, None] == 0.25, np.inf, base.differential(chart_id, P)
+        ),
+    )
+    with pytest.raises(ValueError, match=r"chart 'loop': tangent frame is not finite at params \[0.25\]"):
+        sample_immersion(spec, 128)
+
+
+def test_nan_between_the_samples_is_not_exact():
+    # finite on every sample, NaN at the quadrature nodes of a few edges
+    off_grid = lambda t: (0.3 < t) & (t < 0.32) & (np.abs(t * 128 - np.round(t * 128)) > 1e-9)
+    mesh = sample_immersion(eight_with_nan(off_grid), 128)
+    with pytest.raises(NotExact, match="holonomy nan"):
+        compute_primitive(mesh)
+
+
+def test_nan_phase_is_not_graded():
+    spec, _ = get_model("figure_eight")
+    mesh = sample_immersion(spec, 128)
+    mesh.phase[40] = np.nan
+    with pytest.raises(NotGraded, match="non-integer phase defect nan"):
+        compute_grading(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +709,95 @@ def test_candidate_pairs_match_kdtree_on_model_meshes(name, dim, resolution):
     pairs = pairs[np.linalg.norm(coords[pairs[:, 1]] - coords[pairs[:, 0]], axis=1) <= radius]
     pairs = pairs[keep(pairs[:, 0], pairs[:, 1])]
     assert np.array_equal(immersion._candidate_pairs(coords, radius, keep), pairs)
+
+
+# ---------------------------------------------------------------------------
+# Newton refinement: merged seeds against refine_each, every seed on its own
+
+
+def refine_calls(name, dim, resolution):
+    """The arguments of every ``_refine_seeds`` call the pipeline makes: one
+    per chart pair, with the seeds of its own broad phase."""
+    calls = []
+    real = immersion._refine_seeds
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    spec, _ = get_model(name, dim)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(immersion, "_refine_seeds", spy)
+        run_pipeline(spec, resolution)
+    return calls
+
+
+def distinct_roots(roots, tol):
+    """Group the roots (rows) in order: each joins the first group whose
+    first root is within ``tol`` on every coordinate, or starts one.
+    Returns the first roots and the group of each root."""
+    firsts, labels = [], []
+    for root in roots:
+        near = [k for k, first in enumerate(firsts) if np.max(np.abs(root - first)) <= tol]
+        if not near:
+            near = [len(firsts)]
+            firsts.append(root)
+        labels.append(near[0])
+    return np.array(firsts), labels
+
+
+@pytest.mark.parametrize(
+    "name, dim, resolution",
+    [("sphere", n, 16) for n in range(2, 7)] + [("figure_eight", 1, 256)],
+)
+def test_merged_newton_matches_refining_each_seed(name, dim, resolution):
+    calls = refine_calls(name, dim, resolution)
+    assert calls
+    for spec, chart_a, chart_b, pa, pb in calls:
+        *got, leader = immersion._refine_seeds(spec, chart_a, chart_b, pa, pb)
+        want = refine_each(spec, chart_a, chart_b, pa, pb)
+        seeds = np.arange(len(pa))
+        assert np.all(leader <= seeds) and np.array_equal(leader[leader], leader)
+        leads = leader == seeds
+        for g, w in zip(got, want):
+            assert np.array_equal(g[leads], w[leads])  # bit for bit
+        roots = np.concatenate(got[:2], axis=1)
+        oracle = np.concatenate(want[:2], axis=1)
+        assert np.max(np.abs(roots - oracle)) <= 1e-6
+        got_firsts, got_labels = distinct_roots(roots, 1e-6)
+        want_firsts, want_labels = distinct_roots(oracle, 1e-6)
+        assert got_labels == want_labels
+        assert np.array_equal(got_firsts, want_firsts)
+
+
+def test_merged_newton_solves_fewer_systems(monkeypatch):
+    # every seed refined on its own solves 2,913 rows on this mesh
+    rows = []
+    real = immersion._lstsq
+
+    def counting(a, b):
+        rows.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(immersion, "_lstsq", counting)
+    run_pipeline(get_model("sphere", 7)[0], 16)
+    assert 0 < sum(rows) <= 1800
+
+
+def test_merge_keeps_the_lowest_seed_of_each_cell():
+    tol = immersion.MERGE_TOL
+    pa = np.array([[0.0], [0.3 * tol], [-0.3 * tol], [5 * tol], [np.nan], [np.nan], [5.2 * tol]])
+    pb = np.zeros((len(pa), 2))
+    leader = np.arange(len(pa))
+    live = immersion._merge_coinciding(np.arange(len(pa)), pa, pb, leader)
+    assert live.tolist() == [0, 3, 4, 5]
+    assert leader.tolist() == [0, 0, 0, 3, 4, 5, 3]
+
+
+def test_flat_meshes_send_no_seed_to_newton():
+    # pairs at exactly the broad phase's radius are the same sheet
+    for dim, resolution in ((1, 64), (2, 16), (3, 8)):
+        assert refine_calls("flat", dim, resolution) == []
 
 
 # ---------------------------------------------------------------------------
