@@ -10,8 +10,10 @@ gf2
     complexes, mapping cones, filtered complexes and their spectral pages.
 floer
     Generator/differential data for immersed Floer-type complexes: datum
-    validation, action discipline, positivity thresholds, degeneration
-    budgets, action filtration, rank-inequality reports.
+    validation, action discipline, positivity thresholds, action
+    filtration, rank-inequality reports.
+audit
+    Degeneration-budget audits and the pattern files they read.
 immersion
     Discretisation pipeline: chart meshes, primitive and grading
     propagation, double-point detection with Newton refinement.
@@ -19,10 +21,10 @@ models
     Small built-in immersions (flat plane, round circle, figure eight,
     cylinder) and the sphere model's registry entry.
 sphere
-    The immersed-sphere model with one transverse double point: closed
-    forms, holomorphic disc family, and the associated 4-generator datum.
+    The immersed-sphere model with one transverse double point: chart
+    atlas, holomorphic disc family, and the associated 4-generator datum.
 fileformat
-    The FLD v1 JSON interchange format and audit-pattern files.
+    The FLD v1 JSON interchange format.
 cli
     The ``pearl-floer`` command line interface.
 """

@@ -22,9 +22,10 @@ All reports are deterministic: rows are sorted, floats print in shortest
 round-trip form, and repeated invocations produce byte-identical output.
 
 Layering: homology, spectral, audit and verify-map use only the numpy-free
-layers (gf2, floer, fileformat).  The mesh layer (geom, immersion, models,
-sphere) is imported when analyze or export first needs it, and its names
-are then bound in this module (see ``_load_mesh_layer``).
+layers (gf2, floer, fileformat, and audit for audit alone).  The mesh
+layer (geom, immersion, models, sphere) is imported when analyze or export
+first needs it, and its names are then bound in this module (see
+``_load_mesh_layer``).  The audit layer is imported when audit runs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .fileformat import (
     FormatError,
     datum_to_dict,
     load_datum,
-    load_pattern,
     save_datum,
 )
 from .floer import (
@@ -50,7 +50,6 @@ from .floer import (
     ValidationFailed,
     action_filtration,  # uncalled; perfbench/spans.py wraps cli.action_filtration
     assemble_differential,
-    audit_pattern,
     check_positivity,
     floer_cohomology,
     rank_inequality_report,
@@ -375,6 +374,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import audit_pattern, load_pattern
+
     pattern = load_pattern(args.pattern)
     report = audit_pattern(pattern, n=args.dim)
     payload = {

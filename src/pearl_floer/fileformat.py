@@ -1,4 +1,4 @@
-"""FLD v1 on-disk format and the degeneration-pattern file loader.
+"""FLD v1 on-disk format.
 
 An FLD file is a JSON object::
 
@@ -21,30 +21,21 @@ Export is canonical: generators sort by id, entries sort by (from, to),
 floats print in shortest round-trip form — identical datums produce
 byte-identical files.
 
-A pattern file is a JSON array of tagged degeneration pieces, e.g.::
-
-    [{"type": "strip", "ind_u": 1, "jumps": 1},
-     {"type": "ghost", "ind_pq": 3}]
-
 Structural problems (wrong version, missing or unknown fields, wrong
 types, non-finite numbers such as ``NaN`` or ``Infinity``) raise
 :class:`FormatError`; semantic problems are left to the validation layer.
+The degeneration-pattern files of :mod:`pearl_floer.audit` share the
+strict JSON reader and the error type.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any, get_args
+from typing import Any
 
-from .floer import (
-    DegenerationPattern,
-    DegenerationPiece,
-    FloerDatum,
-    Generator,
-)
+from .floer import FloerDatum, Generator
 
 __all__ = [
     "FORMAT_VERSION",
@@ -55,8 +46,6 @@ __all__ = [
     "loads_datum",
     "save_datum",
     "load_datum",
-    "load_pattern",
-    "pattern_from_list",
 ]
 
 FORMAT_VERSION = 1
@@ -195,59 +184,12 @@ def save_datum(datum: FloerDatum, path: str | Path) -> None:
     Path(path).write_text(dumps_datum(datum), encoding="utf-8")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise FormatError(f"cannot read {path}: {err}") from err
+
+
 def load_datum(path: str | Path) -> FloerDatum:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise FormatError(f"cannot read {path}: {err}") from err
-    return loads_datum(text)
-
-
-# ---------------------------------------------------------------------------
-# degeneration pattern files
-
-_PIECE_TYPES = {cls.tag: cls for cls in get_args(DegenerationPiece)}
-
-
-def pattern_from_list(data: Any) -> DegenerationPattern:
-    """Parse a JSON array of tagged pieces into a pattern."""
-    if not isinstance(data, list):
-        raise FormatError("a pattern file must contain a JSON array of pieces")
-    pieces = []
-    for k, raw in enumerate(data):
-        where = f"pieces[{k}]"
-        if not isinstance(raw, dict):
-            raise FormatError(f"{where} must be an object")
-        tag = _require_str(raw.get("type"), f"{where}.type")
-        if tag not in _PIECE_TYPES:
-            raise FormatError(
-                f"{where}: unknown piece type {tag!r}"
-                f" (expected one of {sorted(_PIECE_TYPES)})"
-            )
-        cls = _PIECE_TYPES[tag]
-        fields = dataclasses.fields(cls)
-        extra = set(raw) - {f.name for f in fields} - {"type"}
-        if extra:
-            raise FormatError(f"unknown keys in {where}: {sorted(extra)}")
-        missing = [
-            f.name
-            for f in fields
-            if f.default is dataclasses.MISSING and f.name not in raw
-        ]
-        if missing:
-            raise FormatError(f"missing keys in {where}: {missing}")
-        kwargs = {
-            f.name: _require_int(raw[f.name], f"{where}.{f.name}")
-            for f in fields
-            if f.name in raw
-        }
-        pieces.append(cls(**kwargs))
-    return DegenerationPattern(pieces=tuple(pieces))
-
-
-def load_pattern(path: str | Path) -> DegenerationPattern:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise FormatError(f"cannot read {path}: {err}") from err
-    return pattern_from_list(_parse_json(text))
+    return loads_datum(_read_text(path))

@@ -5,8 +5,11 @@ points of an auxiliary Morse function, no action) and ``pair`` (ordered
 double-point lifts, carrying an action and a partner) — together with
 GF(2) differential entries.  This module validates datums, assembles the
 differential, computes cohomology ranks, evaluates positivity thresholds,
-audits degeneration budgets, builds the action filtration, and emits the
-rank-inequality report backed by the spectral pages of the filtration.
+builds the action filtration, and emits the rank-inequality report backed
+by the spectral pages of the filtration.  Degeneration-budget audits live
+in :mod:`pearl_floer.audit`; only their error type,
+:class:`InconsistentPattern`, is defined here, so that the command line
+can map it to exit 1 without loading the audit layer.
 
 Action discipline
 -----------------
@@ -30,8 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, Iterable, Sequence, Union
+from dataclasses import dataclass, field
 
 from .gf2 import (
     FilteredComplex,
@@ -57,21 +59,6 @@ __all__ = [
     "PositivityReport",
     "positivity_threshold",
     "check_positivity",
-    "strip_energy",
-    "MorseEdge",
-    "Strip",
-    "GhostStrip",
-    "Splice",
-    "BoundaryPearl",
-    "PearlToMin",
-    "MaxToPearl",
-    "DegenerationPiece",
-    "DegenerationPattern",
-    "piece_budget",
-    "degeneration_budget",
-    "AuditRow",
-    "AuditReport",
-    "audit_pattern",
     "action_filtration",
     "filtration_levels",
     "RankInequalityReport",
@@ -99,7 +86,8 @@ class ValidationFailed(FloerError):
 
 
 class InconsistentPattern(FloerError):
-    """A degeneration pattern carries parameters that contradict its type."""
+    """A degeneration pattern carries parameters that contradict its type
+    (raised by :mod:`pearl_floer.audit`)."""
 
 
 class ZeroActionPairWarning(UserWarning):
@@ -346,202 +334,6 @@ def check_positivity(datum: FloerDatum, mode: str = "strong") -> PositivityRepor
         if g.action is not None and g.action > 0
     ]
     return PositivityReport(mode=mode, ambient_dim=datum.ambient_dim, rows=tuple(rows))
-
-
-def strip_energy(
-    action_out: float, action_in: float, jump_actions: Sequence[float] = ()
-) -> float:
-    """Energy of a strip: action(out) - action(in) - sum of jump actions.
-
-    Negative energy means the configuration is not realizable by a
-    holomorphic strip; the caller interprets the sign.
-    """
-    return float(action_out) - float(action_in) - float(sum(jump_actions))
-
-
-# ---------------------------------------------------------------------------
-# degeneration budgets
-
-
-@dataclass(frozen=True)
-class MorseEdge:
-    """A gradient edge between criticals; generic index drop >= 1."""
-
-    tag: ClassVar[str] = "morse"
-
-    drop: int = 1
-
-
-@dataclass(frozen=True)
-class Strip:
-    """A non-constant strip of index ind_u with ``jumps`` extra branch jumps."""
-
-    tag: ClassVar[str] = "strip"
-
-    ind_u: int
-    jumps: int = 0
-
-
-@dataclass(frozen=True)
-class GhostStrip:
-    """A constant strip at an ordered double point of index ind_pq."""
-
-    tag: ClassVar[str] = "ghost"
-
-    ind_pq: int
-    # optional redundant copy of the ambient dimension, left out of the audit text
-    n: int | None = field(default=None, metadata={"described": False})
-
-
-@dataclass(frozen=True)
-class Splice:
-    """Two pearly pieces spliced through a double point couple."""
-
-    tag: ClassVar[str] = "splice"
-
-    ind_out: int | None = None
-    ind_in_complement: int | None = None
-
-
-@dataclass(frozen=True)
-class BoundaryPearl:
-    """A pearl breaking off at the boundary (type-(e) configuration)."""
-
-    tag: ClassVar[str] = "boundary_pearl"
-
-
-@dataclass(frozen=True)
-class PearlToMin:
-    """A jumped pearl sliding into the minimum; needs >= 1 branch jump."""
-
-    tag: ClassVar[str] = "pearl_to_min"
-
-    jumps: int = 1
-
-
-@dataclass(frozen=True)
-class MaxToPearl:
-    """A jumped pearl emitted from the maximum; needs >= 1 branch jump."""
-
-    tag: ClassVar[str] = "max_to_pearl"
-
-    jumps: int = 1
-
-
-DegenerationPiece = Union[
-    MorseEdge, Strip, GhostStrip, Splice, BoundaryPearl, PearlToMin, MaxToPearl
-]
-
-
-@dataclass(frozen=True)
-class DegenerationPattern:
-    pieces: tuple[DegenerationPiece, ...]
-
-
-def piece_budget(piece: DegenerationPiece, n: int) -> int:
-    """Certified lower bound on the index drop consumed by one piece.
-
-    Raises :class:`InconsistentPattern` when the declared parameters are
-    impossible for the piece type (or presume a positivity regime that the
-    parameters themselves violate).
-    """
-    if isinstance(piece, MorseEdge):
-        if piece.drop < 1:
-            raise InconsistentPattern(
-                f"a Morse edge drops index by at least 1, got {piece.drop}"
-            )
-        return piece.drop
-    if isinstance(piece, Strip):
-        if piece.ind_u < 1:
-            raise InconsistentPattern(
-                f"a non-constant strip has index >= 1, got {piece.ind_u}"
-            )
-        if piece.jumps < 0:
-            raise InconsistentPattern(f"negative jump count {piece.jumps}")
-        return piece.ind_u + 2 * piece.jumps
-    if isinstance(piece, GhostStrip):
-        if piece.n is not None and piece.n != n:
-            raise InconsistentPattern(
-                f"ghost strip declares n = {piece.n}, auditing with n = {n}"
-            )
-        bound = 2 * piece.ind_pq - n
-        if bound < 2:
-            raise InconsistentPattern(
-                f"ghost strip at index {piece.ind_pq} violates strong positivity"
-                f" for n = {n} (2*ind - n = {bound} < 2)"
-            )
-        return bound
-    if isinstance(piece, Splice):
-        for label, ind in (
-            ("outgoing", piece.ind_out),
-            ("complement of incoming", piece.ind_in_complement),
-        ):
-            if ind is not None and 2 * ind - n < 2:
-                raise InconsistentPattern(
-                    f"splice {label} index {ind} violates strong positivity"
-                    f" for n = {n}"
-                )
-        return 2
-    if isinstance(piece, BoundaryPearl):
-        return 2
-    if isinstance(piece, (PearlToMin, MaxToPearl)):
-        if piece.jumps < 1:
-            raise InconsistentPattern(
-                "pearl-to-minimum / maximum-to-pearl pieces require at least"
-                f" one branch jump, got {piece.jumps}"
-            )
-        return 3
-    raise InconsistentPattern(f"unknown degeneration piece {piece!r}")
-
-
-def degeneration_budget(pattern: DegenerationPattern, n: int) -> int:
-    """Sum of the per-piece certified index-drop lower bounds."""
-    return sum(piece_budget(p, n) for p in pattern.pieces)
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    piece: str
-    bound: int
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Budget audit: patterns with total > 1 cannot contribute to the
-    differential; total > 2 cannot appear in d^2 degenerations."""
-
-    rows: tuple[AuditRow, ...]
-    total: int
-
-    @property
-    def excluded_from_differential(self) -> bool:
-        return self.total > 1
-
-    @property
-    def excluded_from_square(self) -> bool:
-        return self.total > 2
-
-
-def _describe_piece(piece: DegenerationPiece) -> str:
-    """``tag(field=value, ...)`` over the piece's fields, or the bare tag."""
-    tag = getattr(piece, "tag", None)
-    if tag is None:
-        return repr(piece)
-    shown = [
-        f"{f.name}={getattr(piece, f.name)}"
-        for f in fields(piece)
-        if f.metadata.get("described", True)
-    ]
-    return f"{tag}({', '.join(shown)})" if shown else tag
-
-
-def audit_pattern(pattern: DegenerationPattern, n: int) -> AuditReport:
-    """Per-piece bounds plus the total, with exclusion verdicts."""
-    rows = tuple(
-        AuditRow(piece=_describe_piece(p), bound=piece_budget(p, n))
-        for p in pattern.pieces
-    )
-    return AuditReport(rows=rows, total=sum(r.bound for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "kahler_angles",
     "det_squared_phase",
     "index_of_pair",
-    "transversality_check",
 ]
 
 #: Default tolerance for unitarity / Lagrangian-plane checks on frames.
@@ -90,10 +89,6 @@ class AmbientSpace:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {self.n}")
-
-    def hermitian(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """Hermitian product <u, v>, antilinear in the first slot."""
-        return complex(np.sum(np.conj(u) * v))
 
     def omega(self, u: np.ndarray, v: np.ndarray) -> float:
         """Symplectic form omega(u, v) = Im <u, v>."""
@@ -301,14 +296,3 @@ def index_of_pair(
     raw = float(n + theta_q - theta_p - 2.0 * angles.total)
     rounded = int(round(raw))
     return IndexValue(raw, rounded, abs(raw - rounded))
-
-
-def transversality_check(
-    frame1: LagrangianFrame, frame2: LagrangianFrame, tol: float = TOL_TRANSVERSE
-) -> bool:
-    """Whether the two planes are transverse (no Kahler angle 0 mod 1/2)."""
-    try:
-        kahler_angles(frame1, frame2, tol=tol)
-    except NotTransverse:
-        return False
-    return True

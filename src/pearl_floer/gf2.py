@@ -102,14 +102,6 @@ class GF2Matrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_entries(
         cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]
     ) -> "GF2Matrix":
@@ -120,17 +112,6 @@ class GF2Matrix:
                 raise ShapeMismatch(f"entry ({i}, {j}) outside shape ({rows}, {cols})")
             m.data[i] ^= 1 << j
         return m
-
-    @classmethod
-    def from_dense(cls, array: Sequence[Sequence[int]]) -> "GF2Matrix":
-        rows = len(array)
-        cols = len(array[0]) if rows else 0
-        data = []
-        for row in array:
-            if len(row) != cols:
-                raise ShapeMismatch("ragged dense input")
-            data.append(sum((1 << j) for j, v in enumerate(row) if int(v) % 2))
-        return cls(rows, cols, data)
 
     # -- access ------------------------------------------------------------
 
@@ -155,20 +136,7 @@ class GF2Matrix:
                 yield (i, low.bit_length() - 1)
                 r ^= low
 
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition of different shapes")
-        return GF2Matrix(
-            self.rows, self.cols, [a ^ b for a, b in zip(self.data, other.data)]
-        )
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.rows:
@@ -419,9 +387,6 @@ class SpectralTable:
         if r >= len(self.pages):
             return self.e_inf.get((p, q), 0)
         return self.pages[r].get((p, q), 0)
-
-    def e_inf_rank(self, p: int, q: int) -> int:
-        return self.e_inf.get((p, q), 0)
 
 
 def _pairing(cx: GradedComplex, levels: Sequence[int]) -> list[int | None]:

@@ -603,8 +603,8 @@ def _frame_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> Lagrangi
 def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) -> ImmersionMesh:
     """Evaluate the atlas on a mesh and build verified tangent frames.
 
-    A position or tangent frame that is not finite is refused
-    (ValueError), naming the chart and the sample's params.
+    A position, tangent frame or intrinsic point that is not finite is
+    refused (ValueError), naming the chart and the sample's params.
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(
@@ -628,7 +628,9 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
         for start in range(0, len(p), BATCH):
             frames.append(_frames_at(spec, chart, p[start : start + BATCH]))
         if spec.intrinsic is not None:
-            intrinsic.append(np.asarray(spec.intrinsic(chart.id, p), dtype=float))
+            w = np.asarray(spec.intrinsic(chart.id, p), dtype=float)
+            _require_finite(chart, p, w, "intrinsic point")
+            intrinsic.append(w)
         edges.append(np.asarray(chart.sample_edges(resolution), dtype=np.intp) + offsets[-1])
         offsets.append(offsets[-1] + len(p))
 
@@ -1243,7 +1245,8 @@ def find_double_points(
     roots are then taken in seed order, the first root of each geometric
     point winning, duplicates are merged, and every surviving geometric
     point is emitted as two ordered records carrying angles, actions and
-    indices.
+    indices.  An intrinsic point at a root that is not finite is refused
+    (ValueError).
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(
@@ -1307,6 +1310,8 @@ def find_double_points(
                 [spec.intrinsic(charts[ca].id, pa[close]), spec.intrinsic(charts[cb].id, pb[close])],
                 axis=1,
             ).astype(float)
+            _require_finite(charts[ca], pa[close], intrinsic[:, 0], "intrinsic point")
+            _require_finite(charts[cb], pb[close], intrinsic[:, 1], "intrinsic point")
         sides = np.broadcast_to(np.array([ca, cb]), (len(params), 2))
         keep = ~_same_sheet(
             mesh,

@@ -9,7 +9,7 @@ parameter t in [0, 1] the curve
 sweeps the immersed sphere iota(t, x) = c(t) x for unit vectors x of R^n.
 Both ends t -> 0, 1 collapse to the origin of C^n, producing one transverse
 double point whose two branches carry the constant frames e^{i pi/4} I and
-e^{3 i pi/4} I.  Closed forms used throughout:
+e^{3 i pi/4} I.  Closed forms:
 
     h(t)     = (1 - cos(pi t)) / 2          (primitive of the pullback of sigma)
     theta(t) = t (n + 2) / 2 + n / 4        (lift of the squared-determinant phase)
@@ -37,21 +37,16 @@ import warnings
 import numpy as np
 
 from .floer import FloerDatum, Generator
-from .geom import AmbientSpace, LagrangianFrame
+from .geom import AmbientSpace
 from .immersion import ImmersionSpec, SpokeBallChart, SuspensionChart
 
 __all__ = [
     "SPHERE_DATUM_NOTE",
     "sphere_curve",
     "sphere_curve_derivative",
-    "sphere_h",
-    "sphere_theta",
-    "sphere_branch_frames",
     "sphere_immersion",
     "sphere_sample_count",
     "sphere_datum",
-    "quadratic_potential",
-    "fiber_parameter",
     "DiscFamily",
 ]
 
@@ -82,31 +77,6 @@ def sphere_curve_derivative(t):
     )
 
 
-def sphere_h(t):
-    """Primitive of the pulled-back Liouville form along the t direction."""
-    return (1.0 - np.cos(np.pi * np.asarray(t, dtype=float))) / 2.0
-
-
-def sphere_theta(t, n: int):
-    """Grading lift along the suspension direction."""
-    return np.asarray(t, dtype=float) * (n + 2) / 2.0 + n / 4.0
-
-
-def sphere_branch_frames(n: int) -> tuple[LagrangianFrame, LagrangianFrame]:
-    """Tangent frames of the two sheets at the double point."""
-    eye = np.eye(n, dtype=complex)
-    return (
-        LagrangianFrame(np.exp(1j * np.pi / 4) * eye),
-        LagrangianFrame(np.exp(3j * np.pi / 4) * eye),
-    )
-
-
-def quadratic_potential(point: np.ndarray) -> complex:
-    """W(z) = z_1^2 + ... + z_n^2 + 1; the sphere lies over |W| = 1."""
-    z = np.asarray(point, dtype=complex)
-    return complex(np.sum(z * z) + 1.0)
-
-
 def _g0(s):
     """Near-cap profile: g0(|v|^2) v parameterizes the t -> 0 side."""
     return np.exp(1j * (np.pi / 4 + 0.5 * np.arcsin(s / 2.0)))
@@ -123,19 +93,6 @@ def _g1(s):
 
 def _g1_prime(s):
     return -1j * _g1(s) / (4.0 * np.sqrt(1.0 - (s / 2.0) ** 2))
-
-
-def fiber_parameter(chart_id: str, params: np.ndarray, seam: float = DEFAULT_SEAM) -> float:
-    """The t value a chart point sits over (W(iota) = e^{2 pi i t})."""
-    params = np.asarray(params, dtype=float)
-    if chart_id == "annulus":
-        return float(params[0])
-    s = float(params @ params)
-    if chart_id == "cap0":
-        return float(np.arcsin(s / 2.0) / np.pi)
-    if chart_id == "cap1":
-        return float(1.0 - np.arcsin(s / 2.0) / np.pi)
-    raise KeyError(chart_id)
 
 
 def _directions(n: int) -> tuple[tuple[float, ...], ...]:

@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from pearl_floer import immersion
-from pearl_floer.geom import LagrangianFrame, transversality_check
-from pearl_floer.gf2 import FilteredComplex, GF2Matrix, GradedComplex
+from pearl_floer.geom import (
+    TOL_TRANSVERSE,
+    LagrangianFrame,
+    NotTransverse,
+    kahler_angles,
+)
+from pearl_floer.gf2 import (
+    FilteredComplex,
+    GF2Matrix,
+    GradedComplex,
+    ShapeMismatch,
+)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -40,6 +50,17 @@ def planted_pair(
     return LagrangianFrame(u), LagrangianFrame(u @ d @ o), alphas
 
 
+def transversality_check(
+    frame1: LagrangianFrame, frame2: LagrangianFrame, tol: float = TOL_TRANSVERSE
+) -> bool:
+    """Whether the two planes are transverse (no Kahler angle 0 mod 1/2)."""
+    try:
+        kahler_angles(frame1, frame2, tol=tol)
+    except NotTransverse:
+        return False
+    return True
+
+
 def random_transverse_frames(
     rng: np.random.Generator, n: int
 ) -> tuple[LagrangianFrame, LagrangianFrame]:
@@ -62,6 +83,57 @@ def cofactor_det(a: np.ndarray) -> complex:
         minor = np.delete(rest, j, axis=1)
         total += (-1) ** j * complex(a[0, j]) * cofactor_det(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the sphere model (see pearl_floer.sphere)
+
+
+def sphere_h(t):
+    """Primitive of the pulled-back Liouville form along the t direction."""
+    return (1.0 - np.cos(np.pi * np.asarray(t, dtype=float))) / 2.0
+
+
+def sphere_theta(t, n: int):
+    """Grading lift along the suspension direction."""
+    return np.asarray(t, dtype=float) * (n + 2) / 2.0 + n / 4.0
+
+
+def sphere_branch_frames(n: int) -> tuple[LagrangianFrame, LagrangianFrame]:
+    """Tangent frames of the two sheets at the double point."""
+    eye = np.eye(n, dtype=complex)
+    return (
+        LagrangianFrame(np.exp(1j * np.pi / 4) * eye),
+        LagrangianFrame(np.exp(3j * np.pi / 4) * eye),
+    )
+
+
+def quadratic_potential(point: np.ndarray) -> complex:
+    """W(z) = z_1^2 + ... + z_n^2 + 1; the sphere lies over |W| = 1."""
+    z = np.asarray(point, dtype=complex)
+    return complex(np.sum(z * z) + 1.0)
+
+
+def fiber_parameter(chart_id: str, params: np.ndarray) -> float:
+    """The t value a chart point sits over (W(iota) = e^{2 pi i t})."""
+    params = np.asarray(params, dtype=float)
+    if chart_id == "annulus":
+        return float(params[0])
+    s = float(params @ params)
+    if chart_id == "cap0":
+        return float(np.arcsin(s / 2.0) / np.pi)
+    if chart_id == "cap1":
+        return float(1.0 - np.arcsin(s / 2.0) / np.pi)
+    raise KeyError(chart_id)
+
+
+def strip_energy(action_out: float, action_in: float, jump_actions=()) -> float:
+    """Energy of a strip: action(out) - action(in) - sum of jump actions.
+
+    Negative energy means the configuration is not realizable by a
+    holomorphic strip; the caller interprets the sign.
+    """
+    return float(action_out) - float(action_in) - float(sum(jump_actions))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +180,37 @@ def refine_each(spec, chart_a, chart_b, pa, pb):
 # GF(2) helpers
 
 
+def gf2_identity(n: int) -> GF2Matrix:
+    return GF2Matrix(n, n, [1 << i for i in range(n)])
+
+
+def gf2_from_dense(array) -> GF2Matrix:
+    rows = len(array)
+    cols = len(array[0]) if rows else 0
+    data = []
+    for row in array:
+        if len(row) != cols:
+            raise ShapeMismatch("ragged dense input")
+        data.append(sum((1 << j) for j, v in enumerate(row) if int(v) % 2))
+    return GF2Matrix(rows, cols, data)
+
+
+def gf2_to_dense(m: GF2Matrix) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.data]
+
+
+def gf2_is_zero(m: GF2Matrix) -> bool:
+    return not any(m.data)
+
+
+def gf2_add(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeMismatch("addition of different shapes")
+    return GF2Matrix(a.rows, a.cols, [x ^ y for x, y in zip(a.data, b.data)])
+
+
 def to_numpy(m: GF2Matrix) -> np.ndarray:
-    return np.array(m.to_dense(), dtype=np.int64).reshape(m.rows, m.cols)
+    return np.array(gf2_to_dense(m), dtype=np.int64).reshape(m.rows, m.cols)
 
 
 def gf2_rank(vectors) -> int:
@@ -135,7 +236,8 @@ class RankedMatrix(GF2Matrix):
 
 
 def random_gf2_matrix(rng: np.random.Generator, rows: int, cols: int) -> RankedMatrix:
-    return RankedMatrix.from_dense(rng.integers(0, 2, size=(rows, cols)).tolist())
+    m = gf2_from_dense(rng.integers(0, 2, size=(rows, cols)).tolist())
+    return RankedMatrix(m.rows, m.cols, m.data)
 
 
 def span_size(rows: list[int]) -> int:
@@ -166,7 +268,7 @@ def random_graded_complex(
             continue
         data[i] ^= 1 << j
         m = GF2Matrix(n, n, data)
-        if not (m @ m).is_zero():
+        if not gf2_is_zero(m @ m):
             data[i] ^= 1 << j
     return GradedComplex(tuple(degrees), GF2Matrix(n, n, data))
 
@@ -195,7 +297,7 @@ def random_filtered_complex(
             continue
         data[i] ^= 1 << j
         m = GF2Matrix(n, n, data)
-        if not (m @ m).is_zero():
+        if not gf2_is_zero(m @ m):
             data[i] ^= 1 << j
     return FilteredComplex(
         GradedComplex(tuple(degrees), GF2Matrix(n, n, data)), tuple(levels)
@@ -337,7 +439,7 @@ def random_valid_datum(rng: np.random.Generator, max_gens: int = 40) -> "FloerDa
         i, j = index[dst], index[src]
         data[i] ^= 1 << j
         mat = GF2Matrix(m, m, data)
-        if (mat @ mat).is_zero():
+        if gf2_is_zero(mat @ mat):
             entries.append((src, dst))
         else:
             data[i] ^= 1 << j
@@ -373,8 +475,8 @@ def quasi_iso_pair(
         e[i, j] = 1
         d2 = (e @ d2 @ e) % 2
         phi = (e @ phi) % 2
-    c2 = GradedComplex(tuple(degrees2), GF2Matrix.from_dense(d2.tolist()))
-    return c1, c2, GF2Matrix.from_dense(phi.tolist())
+    c2 = GradedComplex(tuple(degrees2), gf2_from_dense(d2.tolist()))
+    return c1, c2, gf2_from_dense(phi.tolist())
 
 
 def random_chain_map(
@@ -420,5 +522,5 @@ def random_chain_map(
         e[i, j] = 1  # its own inverse over GF(2)
         d2 = (e @ d2 @ e) % 2
         phi = (e @ phi) % 2
-    c2 = GradedComplex(deg2, GF2Matrix.from_dense(d2.tolist()))
-    return c1, c2, GF2Matrix.from_dense(phi.tolist())
+    c2 = GradedComplex(deg2, gf2_from_dense(d2.tolist()))
+    return c1, c2, gf2_from_dense(phi.tolist())

@@ -44,14 +44,16 @@ from _helpers import (
     span_size,
     to_numpy,
 )
-from pearl_floer.floer import (
+from pearl_floer.audit import (
     BoundaryPearl,
     DegenerationPattern,
-    FloerDatum,
-    Generator,
     GhostStrip,
     Strip,
     audit_pattern,
+)
+from pearl_floer.floer import (
+    FloerDatum,
+    Generator,
     check_positivity,
     floer_cohomology,
     rank_inequality_report,

@@ -397,6 +397,28 @@ def test_analyze_refuses_a_non_finite_position(capsys, monkeypatch):
     assert err == "error: chart 'loop': position is not finite at params [0.25]\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_mesh_commands_refuse_a_non_finite_intrinsic_point(capsys, monkeypatch, tmp_path, command):
+    build, fixed = models._BUILDERS["figure_eight"]
+    bad = np.array([10, 70]) / 128
+
+    def nan_at_two_samples(n):
+        spec = build(n)
+        intrinsic = lambda chart_id, P: np.where(
+            np.isin(P[:, :1], bad), np.nan, spec.intrinsic(chart_id, P)
+        )
+        return dataclasses.replace(spec, intrinsic=intrinsic)
+
+    monkeypatch.setitem(models._BUILDERS, "figure_eight", (nan_at_two_samples, fixed))
+    argv = [command, "--model", "figure_eight", "--resolution", "128"]
+    if command == "export":
+        argv.append(str(tmp_path / "out.fld"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: chart 'loop': intrinsic point is not finite at params [0.078125]\n"
+    assert not (tmp_path / "out.fld").exists()
+
+
 def test_analyze_refuses_a_large_sphere_before_building_its_atlas(capsys, monkeypatch):
     from pearl_floer import sphere
 
@@ -477,6 +499,77 @@ print(json.dumps({{"codes": codes, "loaded": loaded}}))
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_only_audit_loads_the_audit_layer(tmp_path):
+    datum = tmp_path / "s2.fld"
+    save_datum(sphere_datum(2), datum)
+    identity = tmp_path / "id.json"
+    identity.write_text(
+        json.dumps([{"from": g.id, "to": g.id} for g in sphere_datum(2).generators]),
+        encoding="utf-8",
+    )
+    patterns = {
+        "ok": [{"type": "strip", "ind_u": 1, "jumps": 1}],
+        "unknown": [{"type": "nope"}],
+        "inconsistent": [{"type": "ghost", "ind_pq": 1}],
+    }
+    for name, pattern in patterns.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(pattern), encoding="utf-8")
+    argvs = [
+        ["homology", str(datum)],
+        ["spectral", str(datum)],
+        ["verify-map", str(datum), str(datum), str(identity)],
+        ["analyze", "--model", "figure_eight", "--format", "json"],
+        *(["audit", str(tmp_path / f"{name}.json"), "--dim", "2"] for name in patterns),
+    ]
+    script = f"""
+import contextlib, io, json, sys
+from pearl_floer.cli import main
+runs = []
+for argv in {argvs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue(), "pearl_floer.audit" in sys.modules])
+print(json.dumps(runs))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [(code, loaded) for code, _, _, loaded in runs[:4]] == [(0, False)] * 4
+    ok, unknown, inconsistent = runs[4:]
+    assert ok == [
+        0,
+        f"pattern: {tmp_path / 'ok.json'}\n"
+        "ambient dimension: 2\n"
+        "  strip(ind_u=1, jumps=1): drops >= 3\n"
+        "total drop: >= 3\n"
+        "excluded from differential counts: yes\n"
+        "excluded from square counts: yes\n",
+        "",
+        True,
+    ]
+    assert unknown == [
+        2,
+        "",
+        "error: pieces[0]: unknown piece type 'nope' (expected one of ['boundary_pearl',"
+        " 'ghost', 'max_to_pearl', 'morse', 'pearl_to_min', 'splice', 'strip'])\n",
+        True,
+    ]
+    assert inconsistent == [
+        1,
+        "",
+        "error: ghost strip at index 1 violates strong positivity for n = 2"
+        " (2*ind - n = 0 < 2)\n",
+        True,
+    ]
 
 
 def _tracer_spans():

@@ -10,27 +10,26 @@ from typing import get_args
 
 import pytest
 
+from pearl_floer.audit import (
+    BoundaryPearl,
+    DegenerationPiece,
+    GhostStrip,
+    MorseEdge,
+    Strip,
+    audit_pattern,
+    load_pattern,
+    pattern_from_list,
+)
 from pearl_floer.fileformat import (
     FormatError,
     datum_from_dict,
     datum_to_dict,
     dumps_datum,
     load_datum,
-    load_pattern,
     loads_datum,
-    pattern_from_list,
     save_datum,
 )
-from pearl_floer.floer import (
-    BoundaryPearl,
-    DegenerationPiece,
-    FloerDatum,
-    Generator,
-    GhostStrip,
-    MorseEdge,
-    Strip,
-    audit_pattern,
-)
+from pearl_floer.floer import FloerDatum, Generator
 from pearl_floer.sphere import sphere_datum
 
 

@@ -17,10 +17,15 @@ from pearl_floer.geom import (
     index_of_pair,
     kahler_angles,
     make_unitary_frame,
-    transversality_check,
 )
 
-from _helpers import cofactor_det, planted_pair, random_orthogonal, random_unitary
+from _helpers import (
+    cofactor_det,
+    planted_pair,
+    random_orthogonal,
+    random_unitary,
+    transversality_check,
+)
 
 
 def identity_frame(n: int) -> LagrangianFrame:

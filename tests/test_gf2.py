@@ -26,7 +26,11 @@ from pearl_floer.gf2 import (
 from _helpers import (
     brute_cohomology,
     brute_pages,
+    gf2_add,
+    gf2_from_dense,
+    gf2_identity,
     gf2_rank,
+    gf2_to_dense,
     quasi_iso_pair,
     random_chain_map,
     random_filtered_complex,
@@ -50,8 +54,8 @@ def test_from_entries_cancels_in_pairs():
 
 def test_dense_roundtrip_and_entries():
     dense = [[1, 0, 1], [0, 1, 0]]
-    m = GF2Matrix.from_dense(dense)
-    assert m.to_dense() == dense
+    m = gf2_from_dense(dense)
+    assert gf2_to_dense(m) == dense
     assert sorted(m.entries()) == [(0, 0), (0, 2), (1, 1)]
     assert m.column(0) == 0b01
     assert m.column(1) == 0b10
@@ -63,9 +67,9 @@ def test_shape_guards():
     with pytest.raises(ShapeMismatch):
         GF2Matrix.from_entries(2, 2, [(2, 0)])
     with pytest.raises(ShapeMismatch):
-        GF2Matrix.zeros(2, 3) @ GF2Matrix.zeros(2, 3)
+        GF2Matrix(2, 3) @ GF2Matrix(2, 3)
     with pytest.raises(ShapeMismatch):
-        GF2Matrix.zeros(2, 3) + GF2Matrix.zeros(3, 2)
+        gf2_add(GF2Matrix(2, 3), GF2Matrix(3, 2))
 
 
 def test_arithmetic_against_dense_oracle():
@@ -76,7 +80,7 @@ def test_arithmetic_against_dense_oracle():
         b = random_gf2_matrix(rng, k, c)
         assert np.array_equal(to_numpy(a @ b), (to_numpy(a) @ to_numpy(b)) % 2)
         a2 = random_gf2_matrix(rng, r, k)
-        assert np.array_equal(to_numpy(a + a2), (to_numpy(a) + to_numpy(a2)) % 2)
+        assert np.array_equal(to_numpy(gf2_add(a, a2)), (to_numpy(a) + to_numpy(a2)) % 2)
         assert np.array_equal(to_numpy(a.transpose()), to_numpy(a).T)
 
 
@@ -124,7 +128,7 @@ def test_square_zero_passes_on_honest_complexes():
 
 
 def test_cohomology_zero_differential():
-    cx = GradedComplex((0, 0, 1, 3), GF2Matrix.zeros(4, 4))
+    cx = GradedComplex((0, 0, 1, 3), GF2Matrix(4, 4))
     assert cx.cohomology_ranks() == {0: 2, 1: 1, 3: 1}
 
 
@@ -156,8 +160,8 @@ def two_term() -> GradedComplex:
 
 def test_verify_chain_map_identity_and_zero():
     cx = two_term()
-    assert verify_chain_map(cx, cx, GF2Matrix.identity(2))
-    assert verify_chain_map(cx, cx, GF2Matrix.zeros(2, 2))
+    assert verify_chain_map(cx, cx, gf2_identity(2))
+    assert verify_chain_map(cx, cx, GF2Matrix(2, 2))
 
 
 def test_verify_chain_map_detects_failure():
@@ -169,7 +173,7 @@ def test_verify_chain_map_detects_failure():
 def test_verify_chain_map_guards():
     cx = two_term()
     with pytest.raises(ShapeMismatch):
-        verify_chain_map(cx, cx, GF2Matrix.zeros(3, 2))
+        verify_chain_map(cx, cx, GF2Matrix(3, 2))
     with pytest.raises(DegreeViolation):
         verify_chain_map(cx, cx, GF2Matrix.from_entries(2, 2, [(1, 0)]))
 
@@ -186,11 +190,11 @@ def test_chain_map_against_dense_products():
 
 def test_mapping_cone_shape_and_acyclicity_of_identity():
     cx = two_term()
-    cone = mapping_cone(cx, cx, GF2Matrix.identity(2))
+    cone = mapping_cone(cx, cx, gf2_identity(2))
     assert cone.degrees == (-1, 0, 0, 1)
     assert cone.verify_square_zero().ok
     assert all(r == 0 for r in cone.cohomology_ranks().values())
-    assert is_quasi_iso(cx, cx, GF2Matrix.identity(2))
+    assert is_quasi_iso(cx, cx, gf2_identity(2))
 
 
 def test_mapping_cone_requires_chain_map():
@@ -203,13 +207,13 @@ def test_mapping_cone_requires_chain_map():
 
 
 def test_quasi_iso_negative_cases():
-    point = GradedComplex((0,), GF2Matrix.zeros(1, 1))
-    empty = GradedComplex((), GF2Matrix.zeros(0, 0))
+    point = GradedComplex((0,), GF2Matrix(1, 1))
+    empty = GradedComplex((), GF2Matrix(0, 0))
     # zero map to the empty complex is a chain map but kills H^0
-    assert verify_chain_map(point, empty, GF2Matrix.zeros(0, 1))
-    assert not is_quasi_iso(point, empty, GF2Matrix.zeros(0, 1))
+    assert verify_chain_map(point, empty, GF2Matrix(0, 1))
+    assert not is_quasi_iso(point, empty, GF2Matrix(0, 1))
     # inclusion into a complex with an extra cohomology class
-    bigger = GradedComplex((0, 2), GF2Matrix.zeros(2, 2))
+    bigger = GradedComplex((0, 2), GF2Matrix(2, 2))
     incl = GF2Matrix.from_entries(2, 1, [(0, 0)])
     assert verify_chain_map(point, bigger, incl)
     assert not is_quasi_iso(point, bigger, incl)
@@ -242,7 +246,7 @@ def test_quasi_iso_against_brute_cone_cohomology():
 def test_quasi_iso_propagates_broken_complex():
     cx = two_term()
     with pytest.raises(NotAComplex):
-        is_quasi_iso(chain_abc(), chain_abc(), GF2Matrix.identity(3))
+        is_quasi_iso(chain_abc(), chain_abc(), gf2_identity(3))
     del cx
 
 
@@ -270,7 +274,7 @@ def test_single_level_pages_equal_cohomology():
         ranks = cx.cohomology_ranks()
         for k, r in ranks.items():
             assert table.rank(1, 0, k) == r
-            assert table.e_inf_rank(0, k) == r
+            assert table.e_inf.get((0, k), 0) == r
         assert sum(table.pages[1].values()) == sum(ranks.values())
 
 
@@ -311,7 +315,7 @@ def test_pages_converge_to_cohomology():
         degrees = set(ranks) | {p + q for p, q in table.e_inf}
         for k in degrees:
             total = sum(
-                table.e_inf_rank(p, k - p) for p in range(fc.max_level + 1)
+                table.e_inf.get((p, k - p), 0) for p in range(fc.max_level + 1)
             )
             assert total == ranks.get(k, 0)
 
@@ -328,7 +332,7 @@ def test_r_max_extension():
     table = spectral_pages(fc, r_max=fc.max_level + 4)
     assert len(table.pages) == fc.max_level + 5
     for key, rank in table.pages[-1].items():
-        assert table.e_inf_rank(*key) == rank
+        assert table.e_inf.get(key, 0) == rank
 
 
 def test_pages_match_the_approximate_cycle_oracle():

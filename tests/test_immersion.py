@@ -353,6 +353,35 @@ def test_non_finite_tangent_frames_are_refused():
         sample_immersion(spec, 128)
 
 
+def eight_with_nan_intrinsic(where):
+    """The figure-eight, its intrinsic point NaN at the params where ``where`` holds."""
+    spec, _ = get_model("figure_eight")
+
+    def intrinsic(chart_id, P):
+        return np.where(where(P[:, :1]), np.nan, spec.intrinsic(chart_id, P))
+
+    return dataclasses.replace(spec, intrinsic=intrinsic)
+
+
+def test_non_finite_sample_intrinsic_points_are_refused():
+    bad = np.array([10, 70]) / 128
+    spec = eight_with_nan_intrinsic(lambda t: np.isin(t, bad))
+    with pytest.raises(
+        ValueError, match=r"chart 'loop': intrinsic point is not finite at params \[0.078125\]"
+    ):
+        sample_immersion(spec, 128)
+
+
+def test_non_finite_intrinsic_point_at_a_root_is_refused():
+    # finite on every sample, NaN everywhere between them (the roots)
+    off_grid = lambda t: np.abs(t * 128 - np.round(t * 128)) > 1e-9
+    mesh = sample_immersion(eight_with_nan_intrinsic(off_grid), 128)
+    compute_primitive(mesh)
+    compute_grading(mesh)
+    with pytest.raises(ValueError, match="chart 'loop': intrinsic point is not finite"):
+        find_double_points(mesh)
+
+
 def test_nan_between_the_samples_is_not_exact():
     # finite on every sample, NaN at the quadrature nodes of a few edges
     off_grid = lambda t: (0.3 < t) & (t < 0.32) & (np.abs(t * 128 - np.round(t * 128)) > 1e-9)

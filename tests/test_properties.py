@@ -8,11 +8,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from pearl_floer.fileformat import dumps_datum, loads_datum  # noqa: E402
-from pearl_floer.floer import FloerDatum, Generator, validate_datum  # noqa: E402
-from pearl_floer.gf2 import GF2Matrix, GradedComplex  # noqa: E402
+from pearl_floer.fileformat import (  # noqa: E402
+    datum_from_dict,
+    datum_to_dict,
+    dumps_datum,
+    loads_datum,
+)
+from pearl_floer.floer import (  # noqa: E402
+    FloerDatum,
+    Generator,
+    ValidationReport,
+    validate_datum,
+)
+from pearl_floer.gf2 import GradedComplex  # noqa: E402
 
-from _helpers import random_graded_complex, to_numpy  # noqa: E402
+from _helpers import gf2_from_dense, random_graded_complex, to_numpy  # noqa: E402
 
 
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -35,7 +45,7 @@ def test_cohomology_invariant_under_change_of_basis(seed, data):
                 p_inv = (e @ p_inv) % 2
     assert np.array_equal((p @ p_inv) % 2, np.eye(n, dtype=np.int64))
     d = (p @ to_numpy(cx.differential) @ p_inv) % 2
-    moved = GradedComplex(cx.degrees, GF2Matrix.from_dense(d.tolist()))
+    moved = GradedComplex(cx.degrees, gf2_from_dense(d.tolist()))
     assert moved.cohomology_ranks() == cx.cohomology_ranks()
 
 
@@ -86,3 +96,35 @@ def test_fld_round_trip_is_byte_stable(datum):
     assert validate_datum(datum).ok
     text = dumps_datum(datum)
     assert dumps_datum(loads_datum(text)) == text
+
+
+@st.composite
+def structurally_valid_datums(draw):
+    """A valid datum with some fields replaced by arbitrary values that the
+    FLD reader still accepts: the ambient dimension, a generator's kind,
+    degree, action or partner, a repeated id, and entries naming any ids,
+    known or not."""
+    datum = draw(valid_datums())
+    ids = [g.id for g in datum.generators] + ["ghost"]
+    gens = list(datum.generators)
+    for _ in range(draw(st.integers(0, 3)) if gens else 0):
+        k = draw(st.integers(0, len(gens) - 1))
+        degree = draw(st.integers(-3, 8))
+        if draw(st.booleans()):
+            gens[k] = Generator(gens[k].id, "crit", degree)
+        else:
+            action = draw(st.floats(allow_nan=False, allow_infinity=False))
+            gens[k] = Generator(gens[k].id, "pair", degree, action, draw(st.sampled_from(ids)))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    entries = list(datum.differential)
+    entries += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    return FloerDatum(draw(st.integers(-1, 5)), tuple(gens), tuple(entries))
+
+
+@given(structurally_valid_datums())
+def test_validate_datum_never_raises_on_structurally_valid_input(datum):
+    assert datum_from_dict(datum_to_dict(datum)) is not None
+    report = validate_datum(datum)
+    assert isinstance(report, ValidationReport)
+    assert all(isinstance(v, str) for v in report.violations + report.warnings)

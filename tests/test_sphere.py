@@ -28,17 +28,19 @@ from pearl_floer.immersion import (
     sample_immersion,
 )
 from pearl_floer.sphere import (
-    DEFAULT_SEAM,
     DiscFamily,
-    fiber_parameter,
-    quadratic_potential,
-    sphere_branch_frames,
     sphere_curve,
     sphere_curve_derivative,
     sphere_datum,
-    sphere_h,
     sphere_immersion,
     sphere_sample_count,
+)
+
+from _helpers import (
+    fiber_parameter,
+    quadratic_potential,
+    sphere_branch_frames,
+    sphere_h,
     sphere_theta,
 )
 
