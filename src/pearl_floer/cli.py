@@ -16,7 +16,9 @@ Exit codes: 0 on success (including a verify-map answer of "no"), 1 when
 mathematical validation fails (non-exact or ungradable immersions,
 degenerate crossings, datum violations, filtration or complex errors,
 positivity failures under --require-strong), 2 for argument, file, or
-format problems.
+format problems, and when the report cannot be written because stdout is
+closed (a pipe whose reader has exited) or full.  Then stderr carries one
+``error:`` line and nothing else.
 
 All reports are deterministic: rows are sorted, floats print in shortest
 round-trip form, and repeated invocations produce byte-identical output.
@@ -35,6 +37,7 @@ import functools
 import importlib
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -138,11 +141,21 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _emit(args, payload: dict[str, Any], text_lines: list[str]) -> int:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the report; a closed or full stdout is a FormatError (exit 2)."""
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as err:
+        # Point fd 1 at os.devnull, so that the interpreter's own flush at
+        # exit does not fail again on what is left in the buffer.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise FormatError(f"cannot write to stdout: {err}") from err
     return 0
 
 

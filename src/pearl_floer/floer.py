@@ -27,13 +27,22 @@ The same discipline is what makes the three-level action filtration
 (negative pairs at level 0, criticals at level 1, non-negative pairs at
 level 2, in the decreasing convention of :mod:`pearl_floer.gf2`) respect
 the differential.
+
+Records
+-------
+Every record here (generators, datums and reports) is a
+``typing.NamedTuple``: immutable, compared and hashed by value, and
+printed as ``Name(field=value, ...)``.  Being tuples, they also index,
+iterate and compare equal to a plain tuple of their fields.  The module
+does not import ``dataclasses``, whose per-class code generation would
+dominate the start-up of the algebra subcommands on small datums.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .gf2 import (
     FilteredComplex,
@@ -95,8 +104,7 @@ class ZeroActionPairWarning(UserWarning):
     non-negative side of the filtration, which is an arbitrary choice."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One generator: a Morse critical point or an ordered double-point lift."""
 
     id: str
@@ -106,8 +114,7 @@ class Generator:
     partner: str | None = None
 
 
-@dataclass(frozen=True)
-class FloerDatum:
+class FloerDatum(NamedTuple):
     """Generators plus GF(2) differential entries (parity of repetition)."""
 
     ambient_dim: int
@@ -132,8 +139,7 @@ class FloerDatum:
         return sorted(seen)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Itemized validation outcome; ``ok`` means no violations (warnings allowed)."""
 
     violations: tuple[str, ...] = ()
@@ -290,8 +296,7 @@ def floer_cohomology(datum: FloerDatum) -> dict[int, int]:
 # positivity
 
 
-@dataclass(frozen=True)
-class PositivityRow:
+class PositivityRow(NamedTuple):
     id: str
     action: float
     degree: int
@@ -299,8 +304,7 @@ class PositivityRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     mode: str
     ambient_dim: int
     rows: tuple[PositivityRow, ...]
@@ -374,8 +378,7 @@ def action_filtration(datum: FloerDatum) -> FilteredComplex:
     return FilteredComplex(_assemble_unchecked(datum), filtration_levels(datum))
 
 
-@dataclass(frozen=True)
-class RankInequalityReport:
+class RankInequalityReport(NamedTuple):
     """card_R >= sum_betti - sum_HF, with the spectral table as evidence."""
 
     card_R: int
@@ -383,8 +386,8 @@ class RankInequalityReport:
     sum_HF: int
     inequality_holds: bool
     pages: SpectralTable
-    morse_ranks: dict[int, int] = field(default_factory=dict)
-    floer_ranks: dict[int, int] = field(default_factory=dict)
+    morse_ranks: dict[int, int]
+    floer_ranks: dict[int, int]
 
 
 def rank_inequality_report(
@@ -435,8 +438,7 @@ def rank_inequality_report(
 # Morse data (consumed by the immersion pipeline when emitting datums)
 
 
-@dataclass(frozen=True)
-class MorseData:
+class MorseData(NamedTuple):
     """Critical points (id, Morse index) and parity-counted gradient edges."""
 
     criticals: tuple[tuple[str, int], ...]

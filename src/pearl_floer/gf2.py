@@ -28,12 +28,19 @@ unpaired generators of degree k.  A chain map is a quasi-isomorphism when
 its mapping cone has no unpaired generator.  The cone is not re-checked
 for d^2 = 0, because that follows exactly from d^2 = 0 on both complexes
 and from the chain-map identity, which are checked instead.
+
+Records are cheap to define, because every algebra subcommand of the
+command line defines them again at start-up: the reports are
+``typing.NamedTuple`` classes, and the two complexes, which check their
+fields at construction and whose ``len`` is their generator count, are
+small ``__slots__`` classes on :class:`_Frozen`.  The module does not
+import ``dataclasses``, whose code generation (and the ``inspect`` module
+it loads) would cost more than a small datum's algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "GF2Error",
@@ -180,8 +187,7 @@ class GF2Matrix:
         return f"GF2Matrix({self.rows}x{self.cols}, {sum(bin(r).count('1') for r in self.data)} entries)"
 
 
-@dataclass(frozen=True)
-class SquareZeroReport:
+class SquareZeroReport(NamedTuple):
     """Outcome of a d^2 = 0 check, with the first offending entry if any."""
 
     ok: bool
@@ -189,8 +195,45 @@ class SquareZeroReport:
     witness_indices: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class GradedComplex:
+class _Frozen:
+    """Value semantics for a ``__slots__`` class that checks its fields.
+
+    ``__init__`` sets the fields once with ``object.__setattr__``; after
+    that assignment raises AttributeError.  Equality, hashing, repr and
+    pickling go by the fields in slot order, which is also the order of
+    the constructor's arguments.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GradedComplex(_Frozen):
     """A finite GF(2) cochain complex with integer-graded generators.
 
     ``differential`` acts on generator indices: entry (i, j) = 1 means the
@@ -200,24 +243,34 @@ class GradedComplex:
     broken inputs can be reported rather than rejected blindly.
     """
 
+    __slots__ = ("degrees", "differential", "labels")
+
     degrees: tuple[int, ...]
     differential: GF2Matrix
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        n = len(self.degrees)
-        d = self.differential
+    def __init__(
+        self,
+        degrees: tuple[int, ...],
+        differential: GF2Matrix,
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "differential", differential)
+        object.__setattr__(self, "labels", labels)
+        n = len(degrees)
+        d = differential
         if (d.rows, d.cols) != (n, n):
             raise ShapeMismatch(
                 f"differential is {d.rows}x{d.cols} for {n} generators"
             )
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise ShapeMismatch("one label per generator required")
         for i, j in d.entries():
-            if self.degrees[i] != self.degrees[j] + 1:
+            if degrees[i] != degrees[j] + 1:
                 raise DegreeViolation(
                     f"entry {self.label(j)} -> {self.label(i)} maps degree"
-                    f" {self.degrees[j]} to degree {self.degrees[i]}"
+                    f" {degrees[j]} to degree {degrees[i]}"
                 )
 
     def __len__(self) -> int:
@@ -336,29 +389,31 @@ def is_quasi_iso(c1: GradedComplex, c2: GradedComplex, phi: GF2Matrix) -> bool:
     return None not in _pairing(cone, (0,) * len(cone))
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(_Frozen):
     """A graded complex with a decreasing filtration by generator levels.
 
     ``G^p`` is spanned by the generators of level >= p; the differential
     must map each generator to generators of the same or higher level.
     """
 
+    __slots__ = ("complex", "levels")
+
     complex: GradedComplex
     levels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.complex)
-        if len(self.levels) != n:
+    def __init__(self, complex: GradedComplex, levels: tuple[int, ...]) -> None:
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "levels", levels)
+        if len(levels) != len(complex):
             raise ShapeMismatch("one filtration level per generator required")
-        for lev in self.levels:
+        for lev in levels:
             if lev < 0:
                 raise FiltrationViolated(f"negative filtration level {lev}")
-        for i, j in self.complex.differential.entries():
-            if self.levels[i] < self.levels[j]:
+        for i, j in complex.differential.entries():
+            if levels[i] < levels[j]:
                 raise FiltrationViolated(
-                    f"entry {self.complex.label(j)} -> {self.complex.label(i)} drops"
-                    f" level {self.levels[j]} to {self.levels[i]}"
+                    f"entry {complex.label(j)} -> {complex.label(i)} drops"
+                    f" level {levels[j]} to {levels[i]}"
                 )
 
     @property
@@ -366,8 +421,7 @@ class FilteredComplex:
         return max(self.levels) if self.levels else 0
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(NamedTuple):
     """Rank table of the spectral pages of a filtered complex.
 
     ``pages[r]`` maps (p, q) to the rank of E_r at column p and total

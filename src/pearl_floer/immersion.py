@@ -582,6 +582,22 @@ def _require_finite(chart: Chart, params: np.ndarray, values: np.ndarray, what: 
         raise ValueError(f"chart '{chart.id}': {what} is not finite at params {where}")
 
 
+def _intrinsic_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray, k: int | None) -> np.ndarray:
+    """The intrinsic points (m, k) at a stack of m parameter points.  A
+    wrong shape or a non-finite entry is refused (ValueError); ``k=None``
+    accepts the width the callback returns, as on the first chart."""
+    w = np.asarray(spec.intrinsic(chart.id, params), dtype=float)
+    if k is None and w.ndim == 2:
+        k = w.shape[1]
+    if w.shape != (len(params), k):
+        raise ValueError(
+            f"chart '{chart.id}': intrinsic callback returned shape {w.shape},"
+            f" expected ({len(params)}, {'k' if k is None else k})"
+        )
+    _require_finite(chart, params, w, "intrinsic point")
+    return w
+
+
 def _frames_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> np.ndarray:
     """Unitary tangent frames (m, n, n) at a stack of parameter points;
     tangent vectors that are not finite are refused (ValueError)."""
@@ -604,7 +620,9 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
     """Evaluate the atlas on a mesh and build verified tangent frames.
 
     A position, tangent frame or intrinsic point that is not finite is
-    refused (ValueError), naming the chart and the sample's params.
+    refused (ValueError), naming the chart and the sample's params, and so
+    is a position or intrinsic stack of the wrong shape.  Intrinsic points
+    have the same width k on every chart.
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(
@@ -628,9 +646,9 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
         for start in range(0, len(p), BATCH):
             frames.append(_frames_at(spec, chart, p[start : start + BATCH]))
         if spec.intrinsic is not None:
-            w = np.asarray(spec.intrinsic(chart.id, p), dtype=float)
-            _require_finite(chart, p, w, "intrinsic point")
-            intrinsic.append(w)
+            intrinsic.append(
+                _intrinsic_at(spec, chart, p, intrinsic[0].shape[1] if intrinsic else None)
+            )
         edges.append(np.asarray(chart.sample_edges(resolution), dtype=np.intp) + offsets[-1])
         offsets.append(offsets[-1] + len(p))
 
@@ -1245,8 +1263,8 @@ def find_double_points(
     roots are then taken in seed order, the first root of each geometric
     point winning, duplicates are merged, and every surviving geometric
     point is emitted as two ordered records carrying angles, actions and
-    indices.  An intrinsic point at a root that is not finite is refused
-    (ValueError).
+    indices.  An intrinsic point at a root that is not finite, or an
+    intrinsic stack of the wrong shape there, is refused (ValueError).
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(
@@ -1306,12 +1324,14 @@ def find_double_points(
         params[:, 1, :db] = pb[close]
         intrinsic = None
         if spec.intrinsic is not None:
+            k = mesh.intrinsic.shape[1]
             intrinsic = np.stack(
-                [spec.intrinsic(charts[ca].id, pa[close]), spec.intrinsic(charts[cb].id, pb[close])],
+                [
+                    _intrinsic_at(spec, charts[ca], pa[close], k),
+                    _intrinsic_at(spec, charts[cb], pb[close], k),
+                ],
                 axis=1,
-            ).astype(float)
-            _require_finite(charts[ca], pa[close], intrinsic[:, 0], "intrinsic point")
-            _require_finite(charts[cb], pb[close], intrinsic[:, 1], "intrinsic point")
+            )
         sides = np.broadcast_to(np.array([ca, cb]), (len(params), 2))
         keep = ~_same_sheet(
             mesh,

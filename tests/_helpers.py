@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
+import pytest
 
 from pearl_floer import immersion
 from pearl_floer.geom import (
@@ -524,3 +527,21 @@ def random_chain_map(
         phi = (e @ phi) % 2
     c2 = GradedComplex(deg2, gf2_from_dense(d2.tolist()))
     return c1, c2, gf2_from_dense(phi.tolist())
+
+
+def check_frozen_value(make, field: str, text: str, hashable: bool = True) -> None:
+    """Two records from ``make()`` are equal values that refuse assignment to
+    ``field``, survive a pickle round trip and print as ``text``; they hash
+    equal unless a field is a dict (then hashing raises TypeError)."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    assert a == b
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == text

@@ -419,6 +419,26 @@ def test_mesh_commands_refuse_a_non_finite_intrinsic_point(capsys, monkeypatch, 
     assert not (tmp_path / "out.fld").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_mesh_commands_refuse_an_intrinsic_stack_of_the_wrong_shape(
+    capsys, monkeypatch, tmp_path, command
+):
+    build, fixed = models._BUILDERS["figure_eight"]
+
+    def one_row_short(n):
+        spec = build(n)
+        return dataclasses.replace(spec, intrinsic=lambda chart_id, P: spec.intrinsic(chart_id, P)[:-1])
+
+    monkeypatch.setitem(models._BUILDERS, "figure_eight", (one_row_short, fixed))
+    argv = [command, "--model", "figure_eight", "--resolution", "128"]
+    if command == "export":
+        argv.append(str(tmp_path / "out.fld"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: chart 'loop': intrinsic callback returned shape (127, 2), expected (128, 2)\n"
+    assert not (tmp_path / "out.fld").exists()
+
+
 def test_analyze_refuses_a_large_sphere_before_building_its_atlas(capsys, monkeypatch):
     from pearl_floer import sphere
 
@@ -476,19 +496,23 @@ def test_algebra_subcommands_load_neither_numpy_nor_mesh_code(tmp_path):
     identity.write_text(json.dumps([{"from": g, "to": g} for g in "ab"]), encoding="utf-8")
     pattern = tmp_path / "pattern.json"
     pattern.write_text(json.dumps([{"type": "strip", "ind_u": 1, "jumps": 1}]), encoding="utf-8")
-    argvs = [
+    algebra = [
         ["homology", str(datum)],
         ["spectral", str(datum), "--format", "json"],
         ["verify-map", str(datum), str(datum), str(identity)],
-        ["audit", str(pattern), "--dim", "2"],
     ]
+    audit = ["audit", str(pattern), "--dim", "2"]
+    # dataclasses (and the inspect module it imports) would cost the
+    # algebra subcommands a third of their start-up; audit may load them
     script = f"""
 import contextlib, io, json, sys
 from pearl_floer.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in {argvs!r}]
+    codes = [main(argv) for argv in {algebra!r}]
+    codegen = sorted(m for m in sys.modules if m in ("dataclasses", "inspect"))
+    codes.append(main({audit!r}))
 loaded = sorted(m for m in sys.modules if m == "numpy" or m in {MESH_MODULES!r})
-print(json.dumps({{"codes": codes, "loaded": loaded}}))
+print(json.dumps({{"codes": codes, "loaded": loaded, "codegen": codegen}}))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -498,7 +522,50 @@ print(json.dumps({{"codes": codes, "loaded": loaded}}))
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": [], "codegen": []}
+
+
+# ---------------------------------------------------------------------------
+# a stdout that cannot take the report
+
+
+def run_cli(argv, stdout, unbuffered):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.run(
+        [sys.executable, "-m", "pearl_floer.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_2_with_one_error_line(unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the report is written
+    try:
+        proc = run_cli(
+            ["analyze", "--model", "figure_eight", "--resolution", "64", "--format", "json"],
+            write,
+            unbuffered,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, unbuffered):
+    path = tmp_path / "sphere.fld"
+    save_datum(sphere_datum(2), path)
+    with open("/dev/full", "w") as full:
+        proc = run_cli(["homology", str(path)], full, unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
 
 
 def test_only_audit_loads_the_audit_layer(tmp_path):

@@ -26,7 +26,12 @@ from pearl_floer.floer import (
     FloerDatum,
     Generator,
     InconsistentPattern,
+    MorseData,
+    PositivityReport,
+    PositivityRow,
+    RankInequalityReport,
     ValidationFailed,
+    ValidationReport,
     ZeroActionPairWarning,
     action_filtration,
     assemble_differential,
@@ -43,10 +48,12 @@ from pearl_floer.gf2 import (
     GradedComplex,
     GF2Matrix,
     NotAComplex,
+    SpectralTable,
 )
 
 from _helpers import (
     brute_cohomology,
+    check_frozen_value,
     gf2_add,
     gf2_is_zero,
     random_valid_datum,
@@ -555,3 +562,51 @@ def test_two_point_morse_preset():
     morse = two_point_morse(5)
     assert morse.criticals == (("min", 0), ("max", 5))
     assert morse.trajectories == ()
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+
+def test_records_are_frozen_values():
+    pair = "Generator(id='p', kind='pair', degree=1, action=-0.5, partner='q')"
+    crit = "Generator(id='m', kind='crit', degree=0, action=None, partner=None)"
+    row = "PositivityRow(id='p', action=1.5, degree=3, threshold=3.0, ok=True)"
+    table = "SpectralTable(pages=({(0, 0): 1},), e_inf={(0, 0): 1}, max_level=0)"
+    check_frozen_value(lambda: Generator("p", "pair", 1, -0.5, "q"), "action", pair)
+    check_frozen_value(lambda: Generator("m", "crit", 0), "partner", crit)
+    check_frozen_value(
+        lambda: FloerDatum(2, (Generator("m", "crit", 0),), (("m", "m"),)),
+        "generators",
+        f"FloerDatum(ambient_dim=2, generators=({crit},), differential=(('m', 'm'),))",
+    )
+    check_frozen_value(
+        lambda: ValidationReport(("v",), ("w",)),
+        "violations",
+        "ValidationReport(violations=('v',), warnings=('w',))",
+    )
+    check_frozen_value(
+        lambda: PositivityRow("p", 1.5, 3, 3.0, True), "ok", row
+    )
+    check_frozen_value(
+        lambda: PositivityReport("strong", 2, (PositivityRow("p", 1.5, 3, 3.0, True),)),
+        "rows",
+        f"PositivityReport(mode='strong', ambient_dim=2, rows=({row},))",
+    )
+    check_frozen_value(
+        lambda: RankInequalityReport(
+            1, 2, 1, True,
+            SpectralTable(pages=({(0, 0): 1},), e_inf={(0, 0): 1}, max_level=0),
+            {0: 1}, {0: 1},
+        ),
+        "card_R",
+        "RankInequalityReport(card_R=1, sum_betti=2, sum_HF=1, inequality_holds=True,"
+        f" pages={table}, morse_ranks={{0: 1}}, floer_ranks={{0: 1}})",
+        hashable=False,
+    )
+    check_frozen_value(
+        lambda: two_point_morse(2),
+        "trajectories",
+        "MorseData(criticals=(('min', 0), ('max', 2)), trajectories=())",
+    )
+    assert MorseData((("min", 0), ("max", 2))) == two_point_morse(2)

@@ -17,6 +17,8 @@ from pearl_floer.gf2 import (
     NotAComplex,
     NotChainMap,
     ShapeMismatch,
+    SpectralTable,
+    SquareZeroReport,
     is_quasi_iso,
     mapping_cone,
     spectral_pages,
@@ -26,6 +28,7 @@ from pearl_floer.gf2 import (
 from _helpers import (
     brute_cohomology,
     brute_pages,
+    check_frozen_value,
     gf2_add,
     gf2_from_dense,
     gf2_identity,
@@ -112,6 +115,55 @@ def chain_abc() -> GradedComplex:
 def test_degree_discipline_enforced():
     with pytest.raises(DegreeViolation):
         GradedComplex((0, 0), GF2Matrix.from_entries(2, 2, [(1, 0)]))
+
+
+def test_graded_complex_shape_guards():
+    with pytest.raises(ShapeMismatch, match="differential is 2x2 for 3 generators"):
+        GradedComplex((0, 1, 2), GF2Matrix(2, 2))
+    with pytest.raises(ShapeMismatch, match="one label per generator required"):
+        GradedComplex((0, 1), GF2Matrix(2, 2), labels=("a",))
+
+
+def test_records_are_frozen_values():
+    def two_term_ab():
+        return GradedComplex((0, 1), GF2Matrix.from_entries(2, 2, [(1, 0)]), ("a", "b"))
+
+    check_frozen_value(
+        lambda: SquareZeroReport(ok=False, witness=("a", "b"), witness_indices=(0, 1)),
+        "ok",
+        "SquareZeroReport(ok=False, witness=('a', 'b'), witness_indices=(0, 1))",
+    )
+    check_frozen_value(
+        two_term_ab,
+        "degrees",
+        "GradedComplex(degrees=(0, 1), differential=GF2Matrix(2x2, 1 entries),"
+        " labels=('a', 'b'))",
+    )
+    check_frozen_value(
+        lambda: GradedComplex((0,), GF2Matrix(1, 1)),
+        "labels",
+        "GradedComplex(degrees=(0,), differential=GF2Matrix(1x1, 0 entries), labels=None)",
+    )
+    check_frozen_value(
+        lambda: FilteredComplex(two_term_ab(), (0, 1)),
+        "levels",
+        "FilteredComplex(complex=GradedComplex(degrees=(0, 1),"
+        " differential=GF2Matrix(2x2, 1 entries), labels=('a', 'b')), levels=(0, 1))",
+    )
+    check_frozen_value(
+        lambda: SpectralTable(pages=({(0, 0): 1},), e_inf={(0, 0): 1}, max_level=0),
+        "max_level",
+        "SpectralTable(pages=({(0, 0): 1},), e_inf={(0, 0): 1}, max_level=0)",
+        hashable=False,
+    )
+    # the two checked complexes are not tuples: len counts generators
+    cx = two_term_ab()
+    assert len(cx) == 2 and not isinstance(cx, tuple)
+    assert cx != GradedComplex((0, 1), cx.differential) and cx != tuple(cx.degrees)
+    with pytest.raises(AttributeError):
+        del cx.labels
+    with pytest.raises(AttributeError):
+        cx.extra = 1
 
 
 def test_square_zero_witness():

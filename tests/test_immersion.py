@@ -382,6 +382,32 @@ def test_non_finite_intrinsic_point_at_a_root_is_refused():
         find_double_points(mesh)
 
 
+def eight_with_intrinsic(reshape):
+    """The figure-eight, its intrinsic stack passed through ``reshape(P, w)``."""
+    spec, _ = get_model("figure_eight")
+    intrinsic = lambda chart_id, P: reshape(P, spec.intrinsic(chart_id, P))
+    return dataclasses.replace(spec, intrinsic=intrinsic)
+
+
+def test_intrinsic_stacks_of_the_wrong_shape_are_refused():
+    short = eight_with_intrinsic(lambda P, w: w[:-1])
+    with pytest.raises(
+        ValueError,
+        match=r"chart 'loop': intrinsic callback returned shape \(127, 2\), expected \(128, 2\)",
+    ):
+        sample_immersion(short, 128)
+    # right on every sample, one coordinate short between them (the roots)
+    off_grid = lambda P: (np.abs(P * 128 - np.round(P * 128)) > 1e-9).any()
+    mesh = sample_immersion(eight_with_intrinsic(lambda P, w: w[:, :1] if off_grid(P) else w), 128)
+    compute_primitive(mesh)
+    compute_grading(mesh)
+    with pytest.raises(
+        ValueError,
+        match=r"chart 'loop': intrinsic callback returned shape \(\d+, 1\), expected \(\d+, 2\)",
+    ):
+        find_double_points(mesh)
+
+
 def test_nan_between_the_samples_is_not_exact():
     # finite on every sample, NaN at the quadrature nodes of a few edges
     off_grid = lambda t: (0.3 < t) & (t < 0.32) & (np.abs(t * 128 - np.round(t * 128)) > 1e-9)
