@@ -181,7 +181,10 @@ def loads_datum(text: str) -> FloerDatum:
 
 
 def save_datum(datum: FloerDatum, path: str | Path) -> None:
-    Path(path).write_text(dumps_datum(datum), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_datum(datum), encoding="utf-8")
+    except OSError as err:
+        raise FormatError(f"cannot write {path}: {err}") from err
 
 
 def _read_text(path: str | Path) -> str:

@@ -84,6 +84,16 @@ def test_analyze_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_same_seed_gives_the_same_frame_probe(capsys):
+    args = ("analyze", "--model", "sphere", "--dim", "3", "--resolution", "16",
+            "--seed", "5", "--format", "json")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0
+    assert json.loads(out1)["frame_probe"]["seed"] == 5
+    assert out1 == out2
+
+
 def test_analyze_circle_exits_one(capsys):
     code, _, err = run(capsys, "analyze", "--model", "circle")
     assert code == 1
@@ -145,6 +155,23 @@ def test_analyze_export_writes_datum(capsys, tmp_path):
     assert code == 0
     datum = load_datum(target)
     assert sorted(g.id for g in datum.generators) == ["dp0ab", "dp0ba"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--model", "sphere", "--dim", "2"],
+        ["analyze", "--model", "sphere", "--dim", "2", "--resolution", "16", "--export"],
+    ],
+    ids=["export", "analyze"],
+)
+def test_unwritable_export_path_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.fld"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_export_then_homology_round_trip(capsys, tmp_path):
@@ -523,6 +550,32 @@ print(json.dumps({{"codes": codes, "loaded": loaded, "codegen": codegen}}))
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": [], "codegen": []}
+
+
+def test_mesh_subcommands_do_not_load_numpy_random(tmp_path):
+    # the frame probe draws from the standard library's random module;
+    # numpy.random would pull in secrets, hashlib and OpenSSL
+    commands = [
+        ["analyze", "--model", "sphere", "--dim", "3"],
+        ["export", "--model", "figure_eight", str(tmp_path / "eight.fld")],
+    ]
+    script = f"""
+import contextlib, io, json, sys
+from pearl_floer.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {commands!r}]
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.random"))
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": []}
 
 
 # ---------------------------------------------------------------------------

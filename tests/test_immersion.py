@@ -274,6 +274,53 @@ def test_finite_difference_jacobian_matches_analytic():
             assert np.max(np.abs(exact - approx)) < 3e-7
 
 
+def _interior_params(chart, rng, m):
+    """m raw parameter vectors strictly inside ``chart``'s domain."""
+    if isinstance(chart, BoxChart):
+        lo, hi = np.array(chart.lo), np.array(chart.hi)
+        return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(m, len(lo)))
+    if isinstance(chart, SuspensionChart):
+        x = rng.normal(size=(m, chart.sphere_dim + 1))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        t = chart.t_lo + (chart.t_hi - chart.t_lo) * rng.uniform(0.1, 0.9, size=(m, 1))
+        return np.hstack([t, x])
+    v = rng.normal(size=(m, chart.dim))
+    v *= chart.radius * rng.uniform(0.1, 0.9, size=(m, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+@pytest.mark.parametrize(
+    "name, dim",
+    [("flat", 3), ("circle", 1), ("figure_eight", 1), ("cylinder", 2)]
+    + [("sphere", n) for n in (1, 2, 3, 5, 8)],
+)
+def test_five_point_jacobian_matches_every_built_in_model(name, dim):
+    # the five-point stencil at FD_STEP errs by O(step^4) plus rounding;
+    # the loop models' derivatives grow fastest (figure_eight worst)
+    spec, _ = get_model(name, dim)
+    fd_spec = dataclasses.replace(spec, differential=None)
+    rng = np.random.default_rng(29)
+    for chart in spec.charts:
+        params = _interior_params(chart, rng, 64)
+        exact = spec.jacobian(chart.id, params)
+        approx = fd_spec.jacobian(chart.id, params)
+        assert np.max(np.abs(exact - approx)) < 1e-11, chart.id
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_frame_probe_is_seeded_and_small_on_the_sphere(dim):
+    spec, _ = get_model("sphere", dim)
+    mesh = sample_immersion(spec, 16)
+    compute_primitive(mesh)
+    compute_grading(mesh)
+    records = find_double_points(mesh)
+    assert records
+    for seed in range(4):
+        worst = immersion.probe_frame_invariance(mesh, records, seed=seed)
+        assert worst < 1e-9
+        assert immersion.probe_frame_invariance(mesh, records, seed=seed) == worst
+
+
 def test_non_lagrangian_chart_reports_location():
     chart = BoxChart(id="band", lo=(0.0, 0.0), hi=(1.0, 1.0), periodic=(True, False))
 
