@@ -43,6 +43,8 @@ from typing import Any
 
 from .fileformat import (
     FormatError,
+    _parse_json,
+    _read_text,
     datum_to_dict,
     load_datum,
     save_datum,
@@ -415,13 +417,7 @@ def cmd_audit(args) -> int:
 
 
 def _load_map_entries(path: str) -> list[tuple[str, str]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as err:
-        raise FormatError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise FormatError(f"not valid JSON: {err}") from err
+    data = _parse_json(_read_text(path))
     if not isinstance(data, list):
         raise FormatError("a map file must contain a JSON array of entries")
     entries = []

@@ -188,8 +188,11 @@ def save_datum(datum: FloerDatum, path: str | Path) -> None:
 
 
 def _read_text(path: str | Path) -> str:
+    """The file's text; an OSError names the path as given (``Path`` would
+    drop a leading ``./``)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}") from err
 

@@ -150,8 +150,10 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
-def validate_datum(datum: FloerDatum, tol_action: float = TOL_ACTION) -> ValidationReport:
+def validate_datum(datum: FloerDatum) -> ValidationReport:
     """Check every datum invariant and return the itemized report.
+
+    Partner actions must sum to zero within :data:`TOL_ACTION`.
 
     Degree and action discipline are checked on the *net* (parity-reduced)
     entry set, consistent with GF(2) semantics: an entry listed an even
@@ -211,7 +213,7 @@ def validate_datum(datum: FloerDatum, tol_action: float = TOL_ACTION) -> Validat
                     f" {g.degree + mate.degree}, expected n = {n}"
                 )
             if g.action is not None and mate.action is not None:
-                if abs(g.action + mate.action) > tol_action:
+                if abs(g.action + mate.action) > TOL_ACTION:
                     violations.append(
                         f"partner actions of '{g.id}' and '{mate.id}' sum to"
                         f" {g.action + mate.action:.3e}, expected 0"
@@ -445,6 +447,7 @@ class MorseData(NamedTuple):
     trajectories: tuple[tuple[str, str], ...] = ()
 
 
-def two_point_morse(n: int, min_id: str = "min", max_id: str = "max") -> MorseData:
-    """The perfect two-critical-point Morse data of an n-sphere."""
-    return MorseData(criticals=((min_id, 0), (max_id, n)))
+def two_point_morse(n: int) -> MorseData:
+    """The perfect two-critical-point Morse data of an n-sphere: critical
+    points "min" of index 0 and "max" of index n."""
+    return MorseData(criticals=(("min", 0), ("max", n)))

@@ -27,7 +27,7 @@ chart parameter vectors, shape (m, d), and answer for every row at once.
   finite-difference fallback).
 - ``differential(chart_id, P)``, when given, returns the raw Jacobians,
   shape (m, n, d); when absent, five-point central differences with
-  relative step ``fd_step`` are used (one ``position`` call per Jacobian
+  relative step :data:`FD_STEP` are used (one ``position`` call per Jacobian
   stack).
 - ``intrinsic(chart_id, P)``, when given, embeds the abstract domain
   manifold into some R^k, shape (m, k); it is used to tell genuine double
@@ -112,8 +112,8 @@ MIN_RESOLUTION = 8
 #: Most samples a mesh may have; the count grows as resolution^n, so the
 #: pipeline refuses a larger projected total (ValueError) before sampling.
 MAX_SAMPLES = 1_000_000
-#: Most complex entries the tangent frames of a mesh may hold: samples
-#: times n^2, at 16 bytes each 256 MiB.  Refused like MAX_SAMPLES.
+#: Most complex entries of the tangent frames a mesh builds: samples times
+#: n^2, at 16 bytes each 256 MiB.  Refused like MAX_SAMPLES.
 MAX_FRAME_ENTRIES = 1 << 24
 #: Default bound on sigma-holonomy of mesh loops (exactness residual).
 TOL_EXACT = 1e-8
@@ -123,6 +123,14 @@ TOL_INDEX = 1e-4
 #: its O(step^4) truncation and its rounding stay below 1e-11 on the
 #: built-in models (analytic Jacobians as reference).
 FD_STEP = 1e-4
+#: Trapezoid panels of the coarse edge quadrature (the fine one has twice as many).
+QUAD_PANELS = 8
+#: A loop's phase defect this close to an integer certifies a grading.
+TOL_INTEGER = 1e-6
+#: A refined Newton root whose two images are this close is a double point.
+REFINE_TOL = 1e-9
+#: Random frame changes per double-point record in the frame probe.
+PROBE_TRIALS = 4
 #: Newton refinement stops at this step size (or 40 iterations).
 NEWTON_STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 40
@@ -184,7 +192,8 @@ def _wrap_half(x):
 
 def check_mesh_size(samples: int, n: int, resolution: int) -> None:
     """Refuse (ValueError) a mesh of more than :data:`MAX_SAMPLES` samples,
-    or whose (samples, n, n) tangent frames exceed :data:`MAX_FRAME_ENTRIES`."""
+    or whose (samples, n, n) tangent frames, built in batches to read the
+    phase, would total more than :data:`MAX_FRAME_ENTRIES` entries."""
     if samples > MAX_SAMPLES:
         raise ValueError(
             f"resolution {resolution} would take {samples} samples, above the"
@@ -506,7 +515,6 @@ class ImmersionSpec:
     differential: Callable[[str, np.ndarray], np.ndarray] | None = None
     intrinsic: Callable[[str, np.ndarray], np.ndarray] | None = None
     glue: tuple[tuple[str, tuple[float, ...], str, tuple[float, ...]], ...] = ()
-    fd_step: float = FD_STEP
     frame_tol: float = TOL_FRAME
 
     def jacobian(self, chart_id: str, params: np.ndarray) -> np.ndarray:
@@ -516,7 +524,7 @@ class ImmersionSpec:
         if self.differential is not None:
             return np.asarray(self.differential(chart_id, params), dtype=complex)
         m, d = params.shape
-        step = self.fd_step * (1.0 + np.abs(params))  # (m, d)
+        step = FD_STEP * (1.0 + np.abs(params))  # (m, d)
         shifts = np.eye(d)[:, None, :] * step  # (d, m, d): coordinate k moved by its step
         probes = np.concatenate(
             [params + 2 * shifts, params + shifts, params - shifts, params - 2 * shifts]
@@ -538,14 +546,12 @@ class ImmersionMesh:
     """
 
     spec: ImmersionSpec
-    resolution: int
     chart_index: np.ndarray  # (N,) int
     offsets: np.ndarray  # (C + 1,) int
     param_dims: tuple[int, ...]
     params: np.ndarray  # (N, max d) float
     points: np.ndarray  # (N, n) complex
-    frames: np.ndarray  # (N, n, n) complex, unitary
-    phase: np.ndarray  # (N,) in [0, 1)
+    phase: np.ndarray  # (N,) in [0, 1): det^2 phase of the unitary tangent frames
     intrinsic: np.ndarray | None  # (N, k)
     edges: np.ndarray  # (E, 2) int
     glue: np.ndarray  # (E,) bool
@@ -624,7 +630,8 @@ def _frame_at(spec: ImmersionSpec, chart: Chart, params: np.ndarray) -> Lagrangi
 
 
 def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) -> ImmersionMesh:
-    """Evaluate the atlas on a mesh and build verified tangent frames.
+    """Evaluate the atlas on a mesh, verify its tangent frames and keep
+    their squared-determinant phase.
 
     A position, tangent frame or intrinsic point that is not finite is
     refused (ValueError), naming the chart and the sample's params, and so
@@ -637,7 +644,7 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
         )
     n = spec.ambient.n
     check_mesh_size(sum(chart.sample_count(resolution) for chart in spec.charts), n, resolution)
-    params, points, frames, intrinsic, edges = [], [], [], [], []
+    params, points, phase, intrinsic, edges = [], [], [], [], []
     offsets = [0]
     for chart in spec.charts:
         p = np.asarray(chart.sample_points(resolution), dtype=float)
@@ -651,7 +658,8 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
         params.append(p)
         points.append(z)
         for start in range(0, len(p), BATCH):
-            frames.append(_frames_at(spec, chart, p[start : start + BATCH]))
+            frames = _frames_at(spec, chart, p[start : start + BATCH])
+            phase.append(det_squared_phase(frames))
         if spec.intrinsic is not None:
             intrinsic.append(
                 _intrinsic_at(spec, chart, p, intrinsic[0].shape[1] if intrinsic else None)
@@ -663,17 +671,14 @@ def sample_immersion(spec: ImmersionSpec, resolution: int = DEFAULT_RESOLUTION) 
     padded = np.full((offsets[-1], max(param_dims)), np.nan)
     for c, p in enumerate(params):
         padded[offsets[c] : offsets[c + 1], : p.shape[1]] = p
-    frame_stack = np.concatenate(frames)
     mesh = ImmersionMesh(
         spec=spec,
-        resolution=resolution,
         chart_index=np.repeat(np.arange(len(spec.charts)), np.diff(offsets)),
         offsets=np.asarray(offsets),
         param_dims=param_dims,
         params=padded,
         points=np.concatenate(points),
-        frames=frame_stack,
-        phase=det_squared_phase(frame_stack),
+        phase=np.concatenate(phase),
         intrinsic=np.concatenate(intrinsic) if spec.intrinsic is not None else None,
         edges=np.concatenate(edges),
         glue=np.zeros(0, dtype=bool),
@@ -722,15 +727,14 @@ def _path_integrals(
     chart: Chart,
     pa: np.ndarray,
     pb: np.ndarray,
-    quad_points: int,
 ) -> np.ndarray:
     """Integrals of the primitive along the chart paths pa[e] -> pb[e].
 
-    Trapezoid sums at ``quad_points`` and ``2 * quad_points`` panels are
+    Trapezoid sums at :data:`QUAD_PANELS` and twice as many panels are
     combined by one Richardson extrapolation step.  Paths are evaluated in
     blocks of at most :data:`QUAD_BLOCK` quadrature points.
     """
-    fine = 2 * quad_points
+    fine = 2 * QUAD_PANELS
     tau = np.arange(fine + 1) / fine
     per_block = max(1, QUAD_BLOCK // (fine + 1))
     out = np.empty(len(pa))
@@ -746,7 +750,7 @@ def _path_integrals(
         coarse = values[:, ::2]
         t_coarse = (
             coarse[:, 0] / 2 + coarse[:, 1:-1].sum(axis=1) + coarse[:, -1] / 2
-        ) / quad_points
+        ) / QUAD_PANELS
         out[block] = (4.0 * t_fine - t_coarse) / 3.0
     return out
 
@@ -833,7 +837,6 @@ def compute_primitive(
     mesh: ImmersionMesh,
     basepoint: int = 0,
     tol_exact: float = TOL_EXACT,
-    quad_points: int = 8,
 ) -> ImmersionMesh:
     """Integrate the primitive along a spanning tree; verify loop residuals.
 
@@ -841,7 +844,8 @@ def compute_primitive(
     of any further connected component).  Every non-tree edge closes a
     mesh loop; its sigma-holonomy must vanish within ``tol_exact``, else
     the immersion is not exact and :class:`NotExact` is raised.  A NaN
-    holonomy (a callback that is NaN between the samples) fails too.
+    holonomy (a callback that is NaN between the samples) fails too.  Edge
+    integrals use :data:`QUAD_PANELS` (see :func:`_path_integrals`).
     """
     sigma = np.zeros(len(mesh.edges))
     heads = mesh.chart_index[mesh.edges[:, 0]]
@@ -849,9 +853,7 @@ def compute_primitive(
         chosen = np.flatnonzero(~mesh.glue & (heads == c))
         if len(chosen):
             ends = mesh.params[mesh.edges[chosen], : mesh.param_dims[c]]
-            sigma[chosen] = _path_integrals(
-                mesh.spec, chart, ends[:, 0], ends[:, 1], quad_points
-            )
+            sigma[chosen] = _path_integrals(mesh.spec, chart, ends[:, 0], ends[:, 1])
     mesh.h, residual, i, j = _integrate(mesh, basepoint, sigma, np.zeros(len(mesh.points)))
     residual = np.abs(residual)
     failing = np.flatnonzero(~(residual <= tol_exact))  # NaN fails too
@@ -868,25 +870,23 @@ def compute_primitive(
     return mesh
 
 
-def compute_grading(
-    mesh: ImmersionMesh, basepoint: int = 0, tol_integer: float = 1e-6
-) -> ImmersionMesh:
+def compute_grading(mesh: ImmersionMesh, basepoint: int = 0) -> ImmersionMesh:
     """Lift the squared-determinant phase to a real grading along a tree.
 
     Each tree edge takes the lift with |jump| < 1/2.  Non-tree edges then
     carry an integer defect (the winding of the phase around the loop);
     any nonzero value means the immersion admits no grading.  A defect
-    that is not within ``tol_integer`` of an integer, NaN included, raises
+    that is not within :data:`TOL_INTEGER` of an integer, NaN included, raises
     :class:`NotGraded` as too coarse to certify.
     """
     jumps = _wrap_half(mesh.phase[mesh.edges[:, 1]] - mesh.phase[mesh.edges[:, 0]])
     mesh.theta, defect, i, j = _integrate(mesh, basepoint, jumps, mesh.phase)
     rounded = np.round(defect)
     off = np.abs(defect - rounded)
-    failing = np.flatnonzero(~(off <= tol_integer) | (rounded != 0))  # NaN fails too
+    failing = np.flatnonzero(~(off <= TOL_INTEGER) | (rounded != 0))  # NaN fails too
     if len(failing):
         k = failing[0]
-        if not off[k] <= tol_integer:
+        if not off[k] <= TOL_INTEGER:
             raise NotGraded(
                 f"loop through samples ({i[k]}, {j[k]}) has non-integer phase defect"
                 f" {defect[k]:.6e}; the mesh is too coarse to certify a grading",
@@ -1247,18 +1247,12 @@ def _preimage_key(chart: Chart, params: np.ndarray) -> tuple:
 
 
 def find_double_points(
-    mesh: ImmersionMesh,
-    refine_tol: float = 1e-9,
-    *,
-    tol_index: float = TOL_INDEX,
-    exclusion_cells: float = EXCLUSION_CELLS,
-    transverse_tol: float = TOL_TRANSVERSE,
-    quad_points: int = 8,
+    mesh: ImmersionMesh, *, tol_index: float = TOL_INDEX
 ) -> list[DoublePointRecord]:
     """Locate transverse self-intersections and grade them.
 
     Broad phase: a sorted cell list over the sample points, with cells of
-    side the exclusion radius (``exclusion_cells`` median mesh spacings).
+    side the exclusion radius (:data:`EXCLUSION_CELLS` median mesh spacings).
     Points of more than three real coordinates are keyed by their
     projection onto the top three principal axes of the sample cloud,
     which never lengthens a distance, so the search is exact: true
@@ -1266,12 +1260,15 @@ def find_double_points(
     Candidate pairs that survive the self-proximity exclusion (a pair at
     exactly the cut is the same sheet) are polished by Newton iteration,
     the seeds of one chart pair together (:func:`_refine_seeds`: seeds
-    whose iterates meet within :data:`MERGE_TOL` are refined once).  The
+    whose iterates meet within :data:`MERGE_TOL` are refined once), and a
+    root counts when its two images lie within :data:`REFINE_TOL`.  The
     roots are then taken in seed order, the first root of each geometric
     point winning, duplicates are merged, and every surviving geometric
     point is emitted as two ordered records carrying angles, actions and
-    indices.  An intrinsic point at a root that is not finite, or an
-    intrinsic stack of the wrong shape there, is refused (ValueError).
+    indices (angles within :data:`TOL_TRANSVERSE` of 0 mod 1/2 are refused;
+    h is continued to each preimage with :data:`QUAD_PANELS`).  An
+    intrinsic point at a root that is not finite, or an intrinsic stack of
+    the wrong shape there, is refused (ValueError).
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(
@@ -1285,10 +1282,10 @@ def find_double_points(
     inner = mesh.edges[~mesh.glue]
     ti, hi = inner[:, 0], inner[:, 1]
     spacing = max(_median(np.linalg.norm(mesh.points[ti] - mesh.points[hi], axis=1)), 1e-12)
-    radius = exclusion_cells * spacing
+    radius = EXCLUSION_CELLS * spacing
     intrinsic_cut = 0.0
     if mesh.intrinsic is not None:
-        intrinsic_cut = exclusion_cells * _median(
+        intrinsic_cut = EXCLUSION_CELLS * _median(
             np.linalg.norm(mesh.intrinsic[ti] - mesh.intrinsic[hi], axis=1)
         )
     param_cut = []
@@ -1296,7 +1293,7 @@ def find_double_points(
         own = inner[mesh.chart_index[ti] == c]
         d = mesh.param_dims[c]
         deltas = chart.param_distance(mesh.params[own[:, 0], :d], mesh.params[own[:, 1], :d])
-        param_cut.append(exclusion_cells * _median(deltas))
+        param_cut.append(EXCLUSION_CELLS * _median(deltas))
     cuts = (intrinsic_cut, param_cut)
 
     def apart(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -1323,7 +1320,7 @@ def find_double_points(
         pa = mesh.params[seeds[chosen, 0], :da]
         pb = mesh.params[seeds[chosen, 1], :db]
         pa, pb, points, gaps, _ = _refine_seeds(spec, charts[ca], charts[cb], pa, pb)
-        close = gaps <= refine_tol
+        close = gaps <= REFINE_TOL
         if not close.any():
             continue
         params = np.full((int(close.sum()), 2, width), np.nan)
@@ -1383,7 +1380,7 @@ def find_double_points(
                         None
                         if side_intr is None
                         else side_intr[members].reshape(-1, side_intr.shape[-1]),
-                        max(MERGE_TOL, 10 * refine_tol),
+                        max(MERGE_TOL, 10 * REFINE_TOL),
                         MERGE_TOL,
                     ),
                 }
@@ -1406,7 +1403,7 @@ def find_double_points(
         sides = []
         for c, params, _intr in preimages:
             frame = _frame_at(spec, charts[c], params)
-            h_val, theta_val = _continue_h_theta(mesh, c, params, frame, quad_points)
+            h_val, theta_val = _continue_h_theta(mesh, c, params, frame)
             sides.append((charts[c].id, params, frame, h_val, theta_val))
         ids = (f"dp{k}a", f"dp{k}b")
         point_tuple = tuple(complex(z) for z in group["point"])
@@ -1415,7 +1412,7 @@ def find_double_points(
             cp, pp, fp, hp, tp = sides[p]
             cq, pq, fq, hq, tq = sides[q]
             try:
-                angles = kahler_angles(fp, fq, tol=transverse_tol)
+                angles = kahler_angles(fp, fq, tol=TOL_TRANSVERSE)
             except NotTransverse as err:
                 raise NonTransverseDoublePoint(
                     f"sheets meet tangentially at ambient point {group['point'].tolist()}"
@@ -1456,15 +1453,12 @@ def _continue_h_theta(
     c: int,
     params: np.ndarray,
     frame: LagrangianFrame,
-    quad_points: int,
 ) -> tuple[float, float]:
     """h and theta at an off-mesh parameter point of chart number c,
     continued from the nearest sample of the same chart."""
     chart = mesh.spec.charts[c]
     best = int(mesh.offsets[c]) + int(np.argmin(chart.param_distance(mesh.chart_params(c), params)))
-    sigma = _path_integrals(
-        mesh.spec, chart, mesh.sample_params(best)[None], params[None], quad_points
-    )[0]
+    sigma = _path_integrals(mesh.spec, chart, mesh.sample_params(best)[None], params[None])[0]
     h_val = float(mesh.h[best] + sigma)
     theta_val = float(mesh.theta[best] + _wrap_half(det_squared_phase(frame) - mesh.phase[best]))
     return h_val, theta_val
@@ -1514,15 +1508,14 @@ def probe_frame_invariance(
     mesh: ImmersionMesh,
     double_points: Sequence[DoublePointRecord],
     seed: int = 0,
-    trials: int = 4,
 ) -> float:
     """Re-derive the double-point angles under random frame changes.
 
     Right real-orthogonal factors fix each tangent plane, and a common
     ambient unitary rotation preserves the angles between the planes; the
-    probe reports the largest angle deviation observed over ``trials``
-    random combinations per record (a direct check that the reported
-    angles are properties of the geometry, not of the computed frames).
+    probe reports the largest angle deviation observed over
+    :data:`PROBE_TRIALS` random combinations per record (a direct check
+    that the reported angles are properties of the geometry, not of the computed frames).
     The frames come from the standard library's ``random.Random(seed)``,
     one byte draw per record mapped to Gaussian entries by
     :func:`_normals`, so ``seed`` fixes the result.
@@ -1535,7 +1528,7 @@ def probe_frame_invariance(
         fa = _frame_at(spec, mesh.chart(record.p_chart), record.p_params)
         fb = _frame_at(spec, mesh.chart(record.q_chart), record.q_params)
         base = kahler_angles(fa, fb)
-        draws = _normals(rng, trials * 4 * n * n).reshape(trials, 4, n, n)
+        draws = _normals(rng, PROBE_TRIALS * 4 * n * n).reshape(PROBE_TRIALS, 4, n, n)
         for a, b, real, imag in draws:
             q_a, _ = np.linalg.qr(a)
             q_b, _ = np.linalg.qr(b)

@@ -255,6 +255,20 @@ def test_homology_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_unreadable_files_are_named_as_given(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_datum(sphere_datum(2), tmp_path / "s2.fld")
+    for argv, missing in (
+        (("homology", "./none.fld"), "./none.fld"),
+        (("verify-map", "s2.fld", "s2.fld", "./none.json"), "./none.json"),
+        (("audit", "./none.json", "--dim", "2"), "./none.json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert err.endswith(f"'{missing}'\n"), err
+
+
 def test_spectral_pages_and_inequality(capsys, tmp_path):
     path = tmp_path / "s3.fld"
     save_datum(sphere_datum(3), path)
@@ -362,6 +376,19 @@ def test_verify_map_degree_violation_reported_not_fatal(capsys, tmp_path):
     assert code == 0
     assert "chain map: no" in out
     assert "reason:" in out
+
+
+def test_verify_map_refuses_a_nan_in_the_map_file(capsys, tmp_path):
+    # map files are read by the strict JSON reader of the datum files
+    path = tmp_path / "s2.fld"
+    save_datum(sphere_datum(2), path)
+    mapping = tmp_path / "nan.json"
+    mapping.write_text('[{"from": NaN, "to": "min"}]', encoding="utf-8")
+    assert run(capsys, "verify-map", str(path), str(path), str(mapping)) == (
+        2,
+        "",
+        "error: non-finite number NaN is not allowed\n",
+    )
 
 
 def test_verify_map_unknown_generator(capsys, tmp_path):

@@ -20,7 +20,7 @@ import pytest
 
 from pearl_floer import immersion
 from pearl_floer.floer import MorseData
-from pearl_floer.geom import AmbientSpace, NotLagrangian
+from pearl_floer.geom import AmbientSpace, NotLagrangian, det_squared_phase
 from pearl_floer.immersion import (
     BoxChart,
     ImmersionSpec,
@@ -274,6 +274,11 @@ def test_finite_difference_jacobian_matches_analytic():
             assert np.max(np.abs(exact - approx)) < 3e-7
 
 
+BUILT_IN_MODELS = [("flat", 3), ("circle", 1), ("figure_eight", 1), ("cylinder", 2)] + [
+    ("sphere", n) for n in (1, 2, 3, 5, 8)
+]
+
+
 def _interior_params(chart, rng, m):
     """m raw parameter vectors strictly inside ``chart``'s domain."""
     if isinstance(chart, BoxChart):
@@ -289,11 +294,7 @@ def _interior_params(chart, rng, m):
     return v
 
 
-@pytest.mark.parametrize(
-    "name, dim",
-    [("flat", 3), ("circle", 1), ("figure_eight", 1), ("cylinder", 2)]
-    + [("sphere", n) for n in (1, 2, 3, 5, 8)],
-)
+@pytest.mark.parametrize("name, dim", BUILT_IN_MODELS)
 def test_five_point_jacobian_matches_every_built_in_model(name, dim):
     # the five-point stencil at FD_STEP errs by O(step^4) plus rounding;
     # the loop models' derivatives grow fastest (figure_eight worst)
@@ -305,6 +306,18 @@ def test_five_point_jacobian_matches_every_built_in_model(name, dim):
         exact = spec.jacobian(chart.id, params)
         approx = fd_spec.jacobian(chart.id, params)
         assert np.max(np.abs(exact - approx)) < 1e-11, chart.id
+
+
+@pytest.mark.parametrize("name, dim", BUILT_IN_MODELS)
+def test_mesh_phase_is_that_of_each_chart_in_one_call(name, dim):
+    # the mesh reads the phase batch by batch; one call per chart must agree to the bit
+    spec, _ = get_model(name, dim)
+    mesh = sample_immersion(spec, 16)
+    for c, chart in enumerate(spec.charts):
+        frames = immersion._frames_at(spec, chart, mesh.chart_params(c))
+        expected = det_squared_phase(frames)
+        got = mesh.phase[mesh.offsets[c] : mesh.offsets[c + 1]]
+        assert got.tobytes() == expected.tobytes(), chart.id
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
