@@ -213,32 +213,26 @@ def cmd_analyze(args) -> int:
     datum = emit_datum(mesh, records, morse)
     probe = probe_frame_invariance(mesh, records, seed=args.seed)
 
-    points: list[dict[str, Any]] = []
-    seen_points: list[str] = []
-    for record in records:
-        key = json.dumps(
-            [[z.real, z.imag] for z in record.point], sort_keys=True
-        )
-        if key not in seen_points:
-            seen_points.append(key)
-            points.append(
-                {"point": [[z.real, z.imag] for z in record.point], "records": []}
-            )
-        points[seen_points.index(key)]["records"].append(
-            {
-                "p": record.p_id,
-                "q": record.q_id,
-                "p_chart": record.p_chart,
-                "p_params": list(record.p_params),
-                "q_chart": record.q_chart,
-                "q_params": list(record.q_params),
-                "action": record.action,
-                "index": record.index,
-                "index_raw": record.index_raw,
-                "residual": record.residual,
-                "angles": [float(a) for a in record.angles.values],
-            }
-        )
+    def row(record) -> dict[str, Any]:
+        return {
+            "p": record.p_id,
+            "q": record.q_id,
+            "p_chart": record.p_chart,
+            "p_params": list(record.p_params),
+            "q_chart": record.q_chart,
+            "q_params": list(record.q_params),
+            "action": record.action,
+            "index": record.index,
+            "index_raw": record.index_raw,
+            "residual": record.residual,
+            "angles": [float(a) for a in record.angles.values],
+        }
+
+    # find_double_points emits the two records of each point next to each other
+    points = [
+        {"point": [[z.real, z.imag] for z in first.point], "records": [row(first), row(second)]}
+        for first, second in zip(records[::2], records[1::2])
+    ]
 
     payload: dict[str, Any] = {
         "model": args.model,

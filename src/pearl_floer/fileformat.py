@@ -181,8 +181,10 @@ def loads_datum(text: str) -> FloerDatum:
 
 
 def save_datum(datum: FloerDatum, path: str | Path) -> None:
+    """Write the datum; an OSError names the path as given."""
     try:
-        Path(path).write_text(dumps_datum(datum), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(dumps_datum(datum))
     except OSError as err:
         raise FormatError(f"cannot write {path}: {err}") from err
 

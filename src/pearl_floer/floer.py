@@ -395,33 +395,23 @@ class RankInequalityReport(NamedTuple):
 def rank_inequality_report(
     datum: FloerDatum, r_max: int | None = None
 ) -> RankInequalityReport:
-    """Count pair generators against the Morse-block and total cohomologies.
+    """Count pair generators against the Morse and total cohomologies.
 
-    The spectral pages of the action filtration come from one pairing
-    reduction, after one d^2 = 0 check.  The Floer ranks are E_inf summed by
-    total degree, which equals the cohomology, with a zero for every degree
-    that has generators.  Raises ``FiltrationViolated`` before
-    ``NotAComplex``.
+    Both are read off the spectral pages of the action filtration (one
+    reduction, one d^2 = 0 check).  Morse ranks are E_1 at level 1, where the
+    criticals sit alone: E_1^{1,q} = H^{1+q}(crit -> crit block).  Floer ranks
+    are E_inf by total degree; each has a zero for every degree with its kind
+    of generator.  Raises ``FiltrationViolated`` before ``NotAComplex``.
     """
     fc = action_filtration(datum)
     pages = spectral_pages(fc, r_max)
     floer_ranks = dict.fromkeys(fc.complex.degree_indices(), 0)
     for (p, q), rank in pages.e_inf.items():
         floer_ranks[p + q] += rank
-    crits = datum.criticals()
-    crit_ids = {g.id for g in crits}
-    crit_index = {g.id: i for i, g in enumerate(crits)}
-    morse_entries = [
-        (crit_index[dst], crit_index[src])
-        for src, dst in datum.net_entries()
-        if src in crit_ids and dst in crit_ids
-    ]
-    morse_block = GradedComplex(
-        degrees=tuple(g.degree for g in crits),
-        differential=GF2Matrix.from_entries(len(crits), len(crits), morse_entries),
-        labels=tuple(g.id for g in crits),
-    )
-    morse_ranks = morse_block.cohomology_ranks()
+    morse_ranks = dict.fromkeys(sorted(g.degree for g in datum.criticals()), 0)
+    for (p, q), rank in pages.pages[1].items():
+        if p == 1:
+            morse_ranks[p + q] += rank
     card_r = len(datum.pairs())
     sum_betti = sum(morse_ranks.values())
     sum_hf = sum(floer_ranks.values())
@@ -441,7 +431,8 @@ def rank_inequality_report(
 
 
 class MorseData(NamedTuple):
-    """Critical points (id, Morse index) and parity-counted gradient edges."""
+    """Critical points (id, Morse index) and the differential entries the
+    model supplies: Morse edges and closed-form strip counts, parity-counted."""
 
     criticals: tuple[tuple[str, int], ...]
     trajectories: tuple[tuple[str, str], ...] = ()

@@ -768,7 +768,8 @@ def _spanning_forest(mesh: ImmersionMesh, basepoint: int) -> _Forest:
 
     Orientation is +1 when the edge is stored as (parent, child).  The
     first component is rooted at ``basepoint``, further components at
-    their lowest sample index; neighbours are visited by (sample, edge).
+    their lowest sample index; neighbours are visited by sample index,
+    then by edge.
     """
     n = len(mesh.points)
     if not 0 <= basepoint < n:
@@ -1266,9 +1267,11 @@ def find_double_points(
     point winning, duplicates are merged, and every surviving geometric
     point is emitted as two ordered records carrying angles, actions and
     indices (angles within :data:`TOL_TRANSVERSE` of 0 mod 1/2 are refused;
-    h is continued to each preimage with :data:`QUAD_PANELS`).  An
-    intrinsic point at a root that is not finite, or an intrinsic stack of
-    the wrong shape there, is refused (ValueError).
+    h is continued to each preimage with :data:`QUAD_PANELS`).  The two
+    records of point k are ``records[2k]`` and ``records[2k + 1]``: they
+    share ``point``, swap ``p_id`` and ``q_id``, and come larger action
+    first.  An intrinsic point at a root that is not finite, or an
+    intrinsic stack of the wrong shape there, is refused (ValueError).
     """
     if not (mesh.has_primitive and mesh.has_grading):
         raise PipelineError(
@@ -1475,8 +1478,9 @@ def emit_datum(
 ) -> FloerDatum:
     """Package Morse criticals and double-point records into a datum.
 
-    The differential carries only the Morse block; strip counts are for
-    model code or user files to supply.
+    The differential is ``morse.trajectories``, the entries the model
+    supplies (Morse edges and closed-form strip counts); the mesh counts
+    no strips.
     """
     generators: list[Generator] = []
     for cid, morse_index in morse.criticals:

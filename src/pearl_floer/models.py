@@ -13,7 +13,8 @@ can report the mistake instead of producing nonsense.
 - ``figure_eight``: a Gerono-style lemniscate with one transverse double
   point at the origin; exact and graded.
 - ``cylinder``: circle times line in C^2; Lagrangian but not exact.
-- ``sphere``: the immersed sphere of :mod:`pearl_floer.sphere`.
+- ``sphere``: the immersed sphere of :mod:`pearl_floer.sphere`; its Morse
+  data carries the model's closed-form strips.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .floer import MorseData, two_point_morse
 from .geom import AmbientSpace
 from .immersion import BoxChart, ImmersionSpec, check_mesh_size
-from .sphere import sphere_immersion, sphere_sample_count
+from .sphere import SPHERE_STRIPS, sphere_immersion, sphere_sample_count
 
 __all__ = ["MODEL_NAMES", "get_model"]
 
@@ -155,5 +156,6 @@ def get_model(
     if name == "sphere" and resolution is not None:
         check_mesh_size(sphere_sample_count(dim, resolution), dim, resolution)
     spec = builder(dim)
-    morse = two_point_morse(dim) if name == "sphere" else MorseData(criticals=())
-    return spec, morse
+    if name == "sphere":
+        return spec, two_point_morse(dim)._replace(trajectories=SPHERE_STRIPS)
+    return spec, MorseData(criticals=())

@@ -42,6 +42,7 @@ from .immersion import ImmersionSpec, SpokeBallChart, SuspensionChart
 
 __all__ = [
     "SPHERE_DATUM_NOTE",
+    "SPHERE_STRIPS",
     "sphere_curve",
     "sphere_curve_derivative",
     "sphere_immersion",
@@ -57,6 +58,10 @@ SPHERE_DATUM_NOTE = (
     " differential raises degree by one; mesh analysis certifies the"
     " generators but does not count strips"
 )
+
+#: The closed-form rigid strips, one through each end of the double point:
+#: the differential of :func:`sphere_datum` and of the model's Morse data.
+SPHERE_STRIPS = (("dp0ba", "min"), ("max", "dp0ab"))
 
 DEFAULT_SEAM = 0.1
 
@@ -225,8 +230,7 @@ def sphere_datum(n: int) -> FloerDatum:
         Generator("dp0ab", "pair", n + 1, action=1.0, partner="dp0ba"),
         Generator("dp0ba", "pair", -1, action=-1.0, partner="dp0ab"),
     )
-    differential = (("dp0ba", "min"), ("max", "dp0ab"))
-    return FloerDatum(ambient_dim=n, generators=generators, differential=differential)
+    return FloerDatum(ambient_dim=n, generators=generators, differential=SPHERE_STRIPS)
 
 
 # ---------------------------------------------------------------------------

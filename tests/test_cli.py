@@ -165,13 +165,29 @@ def test_analyze_export_writes_datum(capsys, tmp_path):
     ],
     ids=["export", "analyze"],
 )
-def test_unwritable_export_path_exits_2_with_one_error_line(capsys, tmp_path, argv):
-    target = tmp_path / "missing" / "x.fld"
-    code, out, err = run(capsys, *argv, str(target))
+def test_unwritable_export_path_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    target = "./missing/x.fld"  # quoted as given, leading "./" included
+    code, out, err = run(capsys, *argv, target)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
+    assert err.endswith(f"'{target}'\n"), err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_analyzed_sphere_datum_carries_its_strips(capsys, tmp_path, n):
+    path = tmp_path / "s.fld"
+    argv = ("--model", "sphere", "--dim", str(n), "--resolution", "16")
+    code, out, _ = run(capsys, "analyze", *argv, "--export", str(path))
+    assert code == 0
+    assert set(load_datum(path).differential) == {("dp0ba", "min"), ("max", "dp0ab")}
+    code, out, _ = run(capsys, "homology", str(path), "--format", "json")
+    assert (code, json.loads(out)["total_rank"]) == (0, 0)
+    code, out, _ = run(capsys, "spectral", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "rank inequality: 2 >= 2 - 0 (holds)"
 
 
 def test_export_then_homology_round_trip(capsys, tmp_path):

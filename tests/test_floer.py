@@ -536,6 +536,29 @@ def test_rank_inequality_floer_ranks_match_brute_cohomology():
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
+def test_rank_inequality_morse_ranks_match_brute_cohomology_of_the_crit_block():
+    # the report reads them off E_1 at level 1; here the block is built alone
+    rng = np.random.default_rng(48)
+    differentials = 0
+    for _ in range(300):
+        datum = random_valid_datum(rng, max_gens=24)
+        crits = datum.criticals()
+        index = {g.id: i for i, g in enumerate(crits)}
+        entries = [
+            (index[dst], index[src])
+            for src, dst in datum.net_entries()
+            if src in index and dst in index
+        ]
+        differentials += bool(entries)
+        block = GradedComplex(
+            degrees=tuple(g.degree for g in crits),
+            differential=GF2Matrix.from_entries(len(crits), len(crits), entries),
+        )
+        ranks = rank_inequality_report(datum).morse_ranks
+        assert list(ranks.items()) == list(brute_cohomology(block).items())
+    assert differentials >= 30
+
+
 def test_rank_inequality_checks_filtration_then_square_zero():
     crits = (
         Generator("a", "crit", 0),

@@ -929,3 +929,16 @@ def test_model_registry_validates_names_and_dimensions():
     spec, morse = get_model("sphere", 3)
     assert spec.ambient.n == 3
     assert [c[0] for c in morse.criticals] == ["min", "max"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sphere_immersion(n) for n in range(1, 6)] + [get_model("figure_eight")[0]],
+    ids=[f"sphere{n}" for n in range(1, 6)] + ["figure_eight"],
+)
+def test_each_point_emits_its_two_records_next_to_each_other(spec):
+    _, records = run_pipeline(spec, 24)
+    assert records and len(records) % 2 == 0
+    for first, second in zip(records[::2], records[1::2]):
+        assert first.point == second.point
+        assert (first.p_id, first.q_id) == (second.q_id, second.p_id)
