@@ -18,7 +18,8 @@ degenerate crossings, datum violations, filtration or complex errors,
 positivity failures under --require-strong), 2 for argument, file, or
 format problems, and when the report cannot be written because stdout is
 closed (a pipe whose reader has exited) or full.  Then stderr carries one
-``error:`` line and nothing else.
+``error:`` line and nothing else.  Each warning a command emits is one
+``warning: <message>`` line on stderr, without a source location.
 
 All reports are deterministic: rows are sorted, floats print in shortest
 round-trip form, and repeated invocations produce byte-identical output.
@@ -39,6 +40,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Any
 
 from .fileformat import (
@@ -574,9 +576,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    shown = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         return args.func(args)
     except FormatError as err:
@@ -593,6 +601,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -121,9 +121,6 @@ class FloerDatum(NamedTuple):
     generators: tuple[Generator, ...]
     differential: tuple[tuple[str, str], ...] = ()
 
-    def by_id(self) -> dict[str, Generator]:
-        return {g.id: g for g in self.generators}
-
     def pairs(self) -> list[Generator]:
         return [g for g in self.generators if g.kind == "pair"]
 

@@ -161,15 +161,6 @@ class GF2Matrix:
             out[i] = acc
         return GF2Matrix(self.rows, other.cols, out)
 
-    def transpose(self) -> "GF2Matrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return GF2Matrix(self.cols, self.rows, out)
-
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:

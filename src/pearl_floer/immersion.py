@@ -336,8 +336,8 @@ class SuspensionChart:
     Raw parameters have length n + 1; the chart dimension is n.  The sphere
     factor is sampled at the fixed ``directions``; ``resolution`` sets the
     number of t samples.  ``direction_edges`` (pairs of direction indices)
-    are materialised at ``lateral_rows`` evenly spaced interior t rows to
-    give the mesh transverse loops.
+    are materialised at the middle t row, ``round((resolution - 1) / 2)``,
+    to give the mesh transverse loops.
     """
 
     id: str
@@ -345,7 +345,6 @@ class SuspensionChart:
     t_hi: float
     directions: tuple[tuple[float, ...], ...]
     direction_edges: tuple[tuple[int, int], ...] = ()
-    lateral_rows: int = 1
 
     @property
     def sphere_dim(self) -> int:
@@ -376,15 +375,8 @@ class SuspensionChart:
         m = len(self._t_values(resolution))
         starts = (np.arange(len(self.directions))[:, None] * m + np.arange(m - 1)).ravel()
         edges = [np.stack([starts, starts + 1], axis=1)]
-        if self.direction_edges and self.lateral_rows > 0:
-            rows = sorted(
-                {
-                    int(round((r + 1) * (m - 1) / (self.lateral_rows + 1)))
-                    for r in range(self.lateral_rows)
-                }
-            )
-            lateral = np.asarray(self.direction_edges)[None, :, :] * m
-            edges.append((lateral + np.asarray(rows)[:, None, None]).reshape(-1, 2))
+        if self.direction_edges:
+            edges.append(np.asarray(self.direction_edges) * m + round((m - 1) / 2))
         return np.concatenate(edges)
 
     def displace(self, params: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -576,14 +568,6 @@ class ImmersionMesh:
 
     def sample_params(self, k: int) -> np.ndarray:
         return self.params[k, : self.param_dims[self.chart_index[k]]]
-
-    @property
-    def has_primitive(self) -> bool:
-        return self.h is not None
-
-    @property
-    def has_grading(self) -> bool:
-        return self.theta is not None
 
 
 def _require_finite(chart: Chart, params: np.ndarray, values: np.ndarray, what: str) -> None:
@@ -979,8 +963,9 @@ def _refine_seeds(
     Step-synchronous: every live seed takes step k before any seed takes
     step k + 1, and each step is done in blocks of at most :data:`BATCH`
     seeds.  A seed stops after a step shorter than ``NEWTON_STEP_TOL`` or
-    after ``NEWTON_MAX_ITER`` steps.  After each step the seeds still
-    moving are merged by :func:`_merge_coinciding`: of the seeds whose
+    after ``NEWTON_MAX_ITER`` steps; it stops as failed, with gap inf, when
+    its residual or Newton system is not finite.  After each step the seeds
+    still moving are merged by :func:`_merge_coinciding`: of the seeds whose
     iterates round to the same multiples of :data:`MERGE_TOL`, the lowest,
     the leader, keeps iterating and the others stop.  At the end each merged
     seed takes the final params, midpoint and gap of its leader, following
@@ -1001,6 +986,7 @@ def _refine_seeds(
         zb[block] = spec.position(chart_b.id, pb[block])
     leader = np.arange(len(pa))
     live = leader.copy()
+    failed = np.zeros(len(pa), dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
@@ -1012,6 +998,11 @@ def _refine_seeds(
             ja = spec.jacobian(chart_a.id, qa) @ chart_a.local_basis(qa)
             jb = spec.jacobian(chart_b.id, qb) @ chart_b.local_basis(qb)
             system = np.concatenate([ja, -jb], axis=2)
+            finite = np.isfinite(residual).all(axis=1) & np.isfinite(system).all(axis=(1, 2))
+            if not finite.all():
+                failed[rows[~finite]] = True
+                rows, qa, qb = rows[finite], qa[finite], qb[finite]
+                residual, system = residual[finite], system[finite]
             step = _lstsq(
                 np.concatenate([system.real, system.imag], axis=1),
                 np.concatenate([-residual.real, -residual.imag], axis=1),
@@ -1029,7 +1020,8 @@ def _refine_seeds(
             break
         leader = ahead
     za, zb = za[leader], zb[leader]
-    return pa[leader], pb[leader], (za + zb) / 2.0, np.linalg.norm(za - zb, axis=1), leader
+    gaps = np.where(failed[leader], np.inf, np.linalg.norm(za - zb, axis=1))
+    return pa[leader], pb[leader], (za + zb) / 2.0, gaps, leader
 
 
 def _same_sheet(
@@ -1273,7 +1265,7 @@ def find_double_points(
     first.  An intrinsic point at a root that is not finite, or an
     intrinsic stack of the wrong shape there, is refused (ValueError).
     """
-    if not (mesh.has_primitive and mesh.has_grading):
+    if mesh.h is None or mesh.theta is None:
         raise PipelineError(
             "run compute_primitive and compute_grading before double-point"
             " detection"

@@ -143,7 +143,6 @@ def sphere_immersion(n: int, seam: float = DEFAULT_SEAM) -> ImmersionSpec:
         t_hi=1.0 - seam,
         directions=directions,
         direction_edges=cycle,
-        lateral_rows=1,
     )
     cap0 = SpokeBallChart(id="cap0", radius=r0, directions=directions)
     cap1 = SpokeBallChart(id="cap1", radius=r0, directions=directions)

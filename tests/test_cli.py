@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +663,58 @@ def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, unbuffered):
         proc = run_cli(["homology", str(path)], full, unbuffered)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+# ---------------------------------------------------------------------------
+# warnings: one stderr line each, with no source location
+
+
+ZERO_ACTION = FloerDatum(
+    ambient_dim=2,
+    generators=(
+        Generator("c", "crit", 0),
+        Generator("pa", "pair", 1, action=0.0, partner="pb"),
+        Generator("pb", "pair", 1, action=0.0, partner="pa"),
+    ),
+    differential=(),
+)
+
+
+def test_export_of_the_curve_sphere_warns_in_one_line(tmp_path):
+    proc = run_cli(
+        ["export", "--model", "sphere", "--dim", "1", str(tmp_path / "e.fld")],
+        subprocess.DEVNULL,
+        "",
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: the n = 1 sphere is an immersed curve; its datum is degenerate"
+        " (pair degrees 2 and -1 sit adjacent to the criticals)\n"
+    )
+
+
+def test_spectral_warns_in_one_line_per_zero_action_pair(tmp_path):
+    path = tmp_path / "zero.fld"
+    save_datum(ZERO_ACTION, path)
+    proc = run_cli(["spectral", str(path)], subprocess.DEVNULL, "")
+    assert proc.returncode == 0
+    assert proc.stderr == "".join(
+        f"warning: pair generator '{g}' has action exactly 0; filing it with the"
+        " non-negative-action side of the filtration\n"
+        for g in ("pa", "pb")
+    )
+
+
+def test_main_restores_the_warning_format(capsys, tmp_path):
+    path = tmp_path / "zero.fld"
+    save_datum(ZERO_ACTION, path)
+    shown = warnings.formatwarning
+    with pytest.warns(floer.ZeroActionPairWarning):
+        assert main(["spectral", str(path)]) == 0
+    assert warnings.formatwarning is shown
+    with pytest.raises(SystemExit):
+        main(["spectral"])
+    assert warnings.formatwarning is shown
 
 
 def test_only_audit_loads_the_audit_layer(tmp_path):

@@ -885,6 +885,34 @@ def test_merged_newton_matches_refining_each_seed(name, dim, resolution):
         assert np.array_equal(got_firsts, want_firsts)
 
 
+def test_newton_stops_a_seed_whose_values_are_not_finite():
+    # z(t) = t^3 - t on [-1, 1], NaN outside; z' vanishes at t = +-1/sqrt(3),
+    # so the seed (0.58, -0.58) takes a first step of about 42 out of the box
+    chart = BoxChart(id="cubic", lo=(-1.0,), hi=(1.0,))
+
+    def outside(params):
+        return np.abs(params[:, :1]) > 1.0
+
+    def position(chart_id, params):
+        return np.where(outside(params), np.nan, params**3 - params).astype(complex)
+
+    def differential(chart_id, params):
+        slope = np.where(outside(params), np.nan, 3.0 * params**2 - 1.0)
+        return slope[:, :, None].astype(complex)
+
+    spec = ImmersionSpec(
+        ambient=AmbientSpace(1), charts=(chart,), position=position, differential=differential
+    )
+    pa, pb = np.array([[0.58], [0.75]]), np.array([[-0.58], [0.35]])
+    pa, pb, _, gaps, leader = immersion._refine_seeds(spec, chart, chart, pa, pb)
+    assert leader.tolist() == [0, 1]
+    assert gaps[0] == np.inf
+    # the other seed still reaches a root of z(a) = z(b), a != b: a^2 + ab + b^2 = 1
+    assert gaps[1] <= immersion.REFINE_TOL
+    a, b = pa[1, 0], pb[1, 0]
+    assert a * a + a * b + b * b == pytest.approx(1.0, abs=1e-9)
+
+
 def test_merged_newton_solves_fewer_systems(monkeypatch):
     # every seed refined on its own solves 2,913 rows on this mesh
     rows = []
